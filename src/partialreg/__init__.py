@@ -18,6 +18,7 @@ from .errors import (
     DegenerateDirection,
     DuplicateColumn,
     DuplicateHeader,
+    GridTooLarge,
     IndexOutOfRange,
     IoError,
     LengthMismatch,
@@ -139,6 +140,7 @@ __all__ = [
     "NonCanonicalSubsetRows",
     "DegenerateDirection",
     "ZeroLeadSlope",
+    "GridTooLarge",
     "IoError",
     "ParseError",
     "MissingValue",

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -79,9 +80,9 @@ class RunConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def validate(self) -> None:
-        """Raise ValueError on out-of-range numeric parameters."""
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got "
+        """Raise ValueError on non-finite or out-of-range numbers."""
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got "
                              f"{self.tolerance}")
         for lo, hi, step, what in (
                 (self.gamma_min, self.gamma_max, self.gamma_step, "gamma"),
@@ -89,12 +90,11 @@ class RunConfig:
                 (*(self.gamma3_range or (None, None, None)), "gamma3")):
             if lo is None:
                 continue
-            if step <= 0:
+            if not (all(map(math.isfinite, (lo, hi, step)))
+                    and step > 0 and lo <= hi):
                 raise ValueError(
-                    f"{what} step must be positive, got {step}")
-            if hi < lo:
-                raise ValueError(
-                    f"empty {what} range: max {hi} < min {lo}")
+                    f"bad {what} range {lo}:{hi}:{step}: need finite "
+                    f"numbers, a positive step and min <= max")
 
 
 def _name_list(text: str) -> list[str]:
@@ -207,22 +207,17 @@ def _flat(values: tuple[float, ...]):
 
 def _inputs_dict(config: RunConfig) -> dict:
     inputs: dict = {"input": config.input_path}
-    for key in ("response", "target", "x1", "x2", "x3"):
+    for key in ("response", "target", "x1", "x2", "x3",
+                "predictors", "controls"):
         value = getattr(config, key)
         if value is not None:
-            inputs[key] = value
-    for key in ("predictors", "controls"):
+            inputs[key] = list(value) if isinstance(value, tuple) else value
+    for key in ("gamma_min", "gamma_max", "gamma_step",
+                "gamma2_range", "gamma3_range"):
         value = getattr(config, key)
         if value is not None:
-            inputs[key] = list(value)
-    for key in ("gamma_min", "gamma_max", "gamma_step"):
-        value = getattr(config, key)
-        if value is not None:
-            inputs[key] = round_to_printed(value)
-    for key in ("gamma2_range", "gamma3_range"):
-        value = getattr(config, key)
-        if value is not None:
-            inputs[key] = [round_to_printed(v) for v in value]
+            inputs[key] = (_flat(value) if isinstance(value, tuple)
+                           else round_to_printed(value))
     if config.command in ("verify", "report"):
         inputs["tolerance"] = round_to_printed(config.tolerance)
     return inputs
@@ -249,10 +244,18 @@ def _csv_lines(header: str, rows: list[list]) -> str:
 
 
 # --------------------------------------------------------------------------
-# command implementations
+# command implementations: each returns ``(payload, exit_code, meta)``, the
+# payload being the results dict or the CSV text, only what ``--format``
+# asks for; ``meta`` is the sidecar of a CSV written to a file, or None.
 
 def _cmd_fit(config: RunConfig, ds: Dataset):
     fitted = fit(ds, config.response, list(config.predictors))
+    if config.output_format == "csv":
+        rows = [("intercept", fitted.intercept),
+                *zip(fitted.predictors, fitted.slopes),
+                ("condition_estimate", fitted.condition_estimate),
+                ("rss", fitted.rss)]
+        return _csv_lines("term,estimate", rows), EXIT_OK, None
     results = {
         "response": fitted.response,
         "predictors": list(fitted.predictors),
@@ -261,17 +264,13 @@ def _cmd_fit(config: RunConfig, ds: Dataset):
         "condition_estimate": round_to_printed(fitted.condition_estimate),
         "rss": round_to_printed(fitted.rss),
     }
-    rows = [["intercept", fitted.intercept]]
-    rows.extend([name, slope]
-                for name, slope in zip(fitted.predictors, fitted.slopes))
-    rows.append(["condition_estimate", fitted.condition_estimate])
-    rows.append(["rss", fitted.rss])
-    return results, _csv_lines("term,estimate", rows), EXIT_OK, None
+    return results, EXIT_OK, None
 
 
 def _cmd_residualize(config: RunConfig, ds: Dataset):
     residual = residualize(ds, config.target, list(config.controls))
-    merged = residual.merged_into(ds)
+    if config.output_format == "csv":
+        return to_csv(residual.merged_into(ds)), EXIT_OK, None
     results = {
         "name": residual.name,
         "target": residual.target,
@@ -280,49 +279,41 @@ def _cmd_residualize(config: RunConfig, ds: Dataset):
                                  for c in residual.control_coefficients],
         "values": [round_to_printed(v) for v in residual.values],
     }
-    return results, to_csv(merged), EXIT_OK, None
+    return results, EXIT_OK, None
+
+
+def _grid_payload(config: RunConfig, sweep):
+    """Payload of a sweep (one axis, scalar coordinates) or a surface (two
+    axes, coordinate lists); the sidecar meta goes with either format."""
+    meta = {
+        "reference_b1": round_to_printed(sweep.reference_slope),
+        "roots": [_flat(root) for root in sweep.roots],
+        "undefined_points": [_flat(p) for p in sweep.undefined_points],
+    }
+    if config.output_format == "csv":
+        header = ",".join((*sweep.axis_names, "a1_star"))
+        rows = [[*point, v] for point, v in zip(sweep.points, sweep.values)]
+        return _csv_lines(header, rows), EXIT_OK, meta
+    results = {
+        "axis_names": list(sweep.axis_names),
+        "gammas" if len(sweep.axis_names) == 1 else "points":
+            [_flat(point) for point in sweep.points],
+        "values": [round_to_printed(v) for v in sweep.values],
+        **meta,
+    }
+    return results, EXIT_OK, meta
 
 
 def _cmd_sweep(config: RunConfig, ds: Dataset):
     grid = grid_points(config.gamma_min, config.gamma_max, config.gamma_step)
-    sweep = gamma_sweep(ds, config.response, config.x1, config.x2, grid)
-    meta = {
-        "reference_b1": round_to_printed(sweep.reference_slope),
-        "roots": [round_to_printed(r) for (r,) in sweep.roots],
-        "undefined_points": [round_to_printed(g)
-                             for (g,) in sweep.undefined_points],
-    }
-    results = {
-        "axis_names": list(sweep.axis_names),
-        "gammas": [round_to_printed(g) for (g,) in sweep.points],
-        "values": [round_to_printed(v) for v in sweep.values],
-        **meta,
-    }
-    rows = [[g, v] for (g,), v in zip(sweep.points, sweep.values)]
-    return results, _csv_lines("gamma,a1_star", rows), EXIT_OK, meta
+    return _grid_payload(config, gamma_sweep(
+        ds, config.response, config.x1, config.x2, grid))
 
 
 def _cmd_surface(config: RunConfig, ds: Dataset):
-    grid2 = grid_points(*config.gamma2_range)
-    grid3 = grid_points(*config.gamma3_range)
-    sweep = gamma_surface(ds, config.response, config.x1,
-                          [config.x2, config.x3], grid2, grid3)
-    meta = {
-        "reference_b1": round_to_printed(sweep.reference_slope),
-        "roots": [[round_to_printed(g) for g in root]
-                  for root in sweep.roots],
-        "undefined_points": [[round_to_printed(g) for g in point]
-                             for point in sweep.undefined_points],
-    }
-    results = {
-        "axis_names": list(sweep.axis_names),
-        "points": [[round_to_printed(g) for g in point]
-                   for point in sweep.points],
-        "values": [round_to_printed(v) for v in sweep.values],
-        **meta,
-    }
-    rows = [[g2, g3, v] for (g2, g3), v in zip(sweep.points, sweep.values)]
-    return results, _csv_lines("gamma,gamma3,a1_star", rows), EXIT_OK, meta
+    return _grid_payload(config, gamma_surface(
+        ds, config.response, config.x1, [config.x2, config.x3],
+        grid_points(*config.gamma2_range), grid_points(*config.gamma3_range)))
 
 
 def _cmd_verify(config: RunConfig, ds: Dataset):
@@ -330,23 +321,19 @@ def _cmd_verify(config: RunConfig, ds: Dataset):
         ds, config.response, config.x1, list(config.controls),
         config.tolerance)
     passed = all(r.passed for r in reports)
+    code = EXIT_OK if passed else EXIT_FAILED_VERIFICATION
+    if config.output_format == "csv":
+        rows = [[r.claim, ";".join(map(format_number, r.lhs)),
+                 ";".join(map(format_number, r.rhs)), r.abs_diff,
+                 r.tolerance, "true" if r.passed else "false"]
+                for r in reports]
+        text = _csv_lines("claim,lhs,rhs,abs_diff,tolerance,passed", rows)
+        return text, code, None
     results = {
         "reports": [_report_dict(r) for r in reports],
         "passed": passed,
     }
-    rows = []
-    for r in reports:
-        rows.append([
-            r.claim,
-            ";".join(format_number(v) for v in r.lhs),
-            ";".join(format_number(v) for v in r.rhs),
-            r.abs_diff,
-            r.tolerance,
-            "true" if r.passed else "false",
-        ])
-    text = _csv_lines("claim,lhs,rhs,abs_diff,tolerance,passed", rows)
-    return (results, text,
-            EXIT_OK if passed else EXIT_FAILED_VERIFICATION, None)
+    return results, code, None
 
 
 def _cmd_report(config: RunConfig, ds: Dataset) -> tuple[str, int]:
@@ -418,6 +405,13 @@ _COMMANDS = {
 }
 
 
+def _envelope(config: RunConfig, inputs: dict, results,
+              diagnostics: dict) -> str:
+    return json.dumps({"command": config.command, "inputs": inputs,
+                       "results": results, "diagnostics": diagnostics},
+                      indent=2) + "\n"
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -434,7 +428,7 @@ def run(config: RunConfig) -> int:
             text, code = _cmd_report(config, ds)
             _emit(text, config.output_path)
             return code
-        results, csv_text, code, meta = _COMMANDS[config.command](config, ds)
+        payload, code, meta = _COMMANDS[config.command](config, ds)
     except PartialRegError as exc:
         diagnostics: dict = {
             "error": type(exc).__name__,
@@ -445,39 +439,22 @@ def run(config: RunConfig) -> int:
                 diagnostics["row"] = exc.row
             if exc.column is not None:
                 diagnostics["column"] = exc.column
-        envelope = {
-            "command": config.command,
-            "inputs": inputs,
-            "results": None,
-            "diagnostics": diagnostics,
-        }
-        sys.stdout.write(json.dumps(envelope, indent=2) + "\n")
+        sys.stdout.write(_envelope(config, inputs, None, diagnostics))
         sys.stderr.write(f"error: {diagnostics['message']}\n")
         return EXIT_USAGE
 
     if config.output_format == "csv":
-        _emit(csv_text, config.output_path)
+        _emit(payload, config.output_path)
         if meta is not None and config.output_path is not None:
-            sidecar = {
-                "command": config.command,
-                "inputs": inputs,
-                "results": meta,
-                "diagnostics": {},
-            }
-            sidecar_path = Path(config.output_path).with_suffix(".meta.json")
-            sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n",
-                                    encoding="utf-8")
+            _emit(_envelope(config, inputs, meta, {}),
+                  str(Path(config.output_path).with_suffix(".meta.json")))
     else:
-        envelope = {
-            "command": config.command,
-            "inputs": inputs,
-            "results": results,
-            "diagnostics": {},
-        }
-        if config.command == "verify" and not results["passed"]:
-            envelope["diagnostics"]["failed_claims"] = [
-                r["claim"] for r in results["reports"] if not r["passed"]]
-        _emit(json.dumps(envelope, indent=2) + "\n", config.output_path)
+        diagnostics = {}
+        if config.command == "verify" and not payload["passed"]:
+            diagnostics["failed_claims"] = [
+                r["claim"] for r in payload["reports"] if not r["passed"]]
+        _emit(_envelope(config, inputs, payload, diagnostics),
+              config.output_path)
     return code
 
 
@@ -491,11 +468,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(str(exc))
     try:
         return run(config)
-    except ValueError as exc:
-        # grid construction and similar argument-value failures
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # argument values the library rejects, and unwritable outputs
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

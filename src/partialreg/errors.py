@@ -94,6 +94,10 @@ class ZeroLeadSlope(PartialRegError):
     """The multiple-regression slope on x1 is ~0, so -b2/b1 is undefined."""
 
 
+class GridTooLarge(PartialRegError, ValueError):
+    """A gamma grid would have more points than the evaluators accept."""
+
+
 # --------------------------------------------------------------------------
 # CSV ingestion
 

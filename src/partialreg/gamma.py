@@ -15,8 +15,13 @@ multiple-regression slope ``b1`` of ``y ~ x1 + x2`` at exactly two points:
 grids for plotting, skipping (and recording) any gamma where the combined
 predictor is constant.
 
-The scalar and grid evaluators share one arithmetic path, so a sweep value
-at gamma is bit-identical to ``slope_on_gamma`` at the same gamma.
+With a second control, a1*(gamma, gamma3) on ``x1 - gamma*x2 - gamma3*x3``
+is the same rational function with the third column's terms appended.  The
+scalar, sweep and surface evaluators share that one arithmetic path over
+two-pass centered moments computed once per call, so a G x G surface costs
+O(n + G**2) and never rebuilds the combined column; a sweep value at gamma
+and a surface value at ``(gamma, 0)`` are bit-identical to
+``slope_on_gamma`` at the same gamma.
 """
 
 from __future__ import annotations
@@ -30,15 +35,17 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (
     DegenerateDirection,
+    GridTooLarge,
     LengthMismatch,
     NumericalOvershoot,
     ZeroLeadSlope,
 )
-from .ols import fit, fit_simple
+from .ols import RegressionFit, fit, fit_simple
 from .stats import column_stats, covariance
 
 __all__ = [
     "DENOMINATOR_FLOOR",
+    "MAX_GRID_POINTS",
     "ROOT_MATCH_TOLERANCE",
     "GammaSweep",
     "grid_points",
@@ -57,6 +64,9 @@ DENOMINATOR_FLOOR = 1e-12
 #: (relative to ``max(1, |b1|)``).
 ROOT_MATCH_TOLERANCE = 1e-8
 
+#: Largest grid (points per sweep, or per surface) the evaluators accept.
+MAX_GRID_POINTS = 10**6
+
 #: Roots closer together than this collapse to a single listed root.
 _ROOT_MERGE_SPACING = 1e-10
 
@@ -69,7 +79,8 @@ def grid_points(lo: float, hi: float, step: float) -> np.ndarray:
 
     The count is computed once from the range, with a small forgiveness
     term so that ranges like [-2, 2] with step 0.01 include both ends
-    despite binary rounding.
+    despite binary rounding.  It is checked against
+    :data:`MAX_GRID_POINTS` before anything is allocated.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValueError("grid bounds and step must be finite")
@@ -77,33 +88,66 @@ def grid_points(lo: float, hi: float, step: float) -> np.ndarray:
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"empty range: max {hi} < min {lo}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    steps = (hi - lo) / step + 1e-9
+    # Written so that a range too wide for a float count (inf) fails too.
+    if not steps < MAX_GRID_POINTS:
+        raise GridTooLarge(
+            f"grid {lo}..{hi} step {step} has more than "
+            f"{MAX_GRID_POINTS} points")
+    return lo + step * np.arange(math.floor(steps) + 1)
 
 
-def _moments(ds: Dataset, response: str, x1: str, x2: str
-             ) -> tuple[float, float, float, float, float]:
-    return (
-        covariance(ds, x1, response),
-        covariance(ds, x2, response),
-        column_stats(ds, x1).variance,
-        covariance(ds, x1, x2),
-        column_stats(ds, x2).variance,
-    )
+def _checked_grid(gammas: Sequence[float]) -> np.ndarray:
+    grid = np.asarray(gammas, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("gamma grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("gamma grid contains a non-finite value")
+    return grid
 
 
-def _rational_parts(moments: tuple[float, float, float, float, float],
-                    gamma):
-    """Numerator, denominator, and denominator scale of a1*(gamma).
+def _moments(ds: Dataset, response: str, x1: str, x2: str,
+             x3: str | None = None) -> tuple[float, ...]:
+    """The sweep's five second moments, then a third column's four."""
+    moments = (covariance(ds, x1, response), covariance(ds, x2, response),
+               column_stats(ds, x1).variance, covariance(ds, x1, x2),
+               column_stats(ds, x2).variance)
+    if x3 is not None:
+        moments += (covariance(ds, x3, response), covariance(ds, x1, x3),
+                    covariance(ds, x2, x3), column_stats(ds, x3).variance)
+    return moments
 
-    ``gamma`` may be a float or an array; the expression is written once so
-    both paths round identically.
+
+def _rational_parts(moments: tuple[float, ...], gamma, gamma3=None):
+    """Numerator, denominator, and denominator scale of a1*.
+
+    ``gamma`` (and ``gamma3``) may be floats or broadcastable arrays; the
+    expression is written once so every path rounds identically.  The third
+    control's terms come after the first's, so at ``gamma3 == 0`` they add
+    exact zeros and the result is bit-identical to the one-control value.
     """
-    c1y, c2y, v1, c12, v2 = moments
+    c1y, c2y, v1, c12, v2 = moments[:5]
     numerator = c1y - gamma * c2y
     denominator = v1 - (2.0 * gamma) * c12 + (gamma * gamma) * v2
     scale = v1 + (gamma * gamma) * v2
+    if gamma3 is not None:
+        c3y, c13, c23, v3 = moments[5:]
+        numerator = numerator - gamma3 * c3y
+        denominator = (denominator - (2.0 * gamma3) * c13
+                       + (2.0 * gamma * gamma3) * c23
+                       + (gamma3 * gamma3) * v3)
+        scale = scale + (gamma3 * gamma3) * v3
     return numerator, denominator, scale
+
+
+def _slope_from_moments(moments: tuple[float, ...], gamma: float,
+                        x1: str, x2: str) -> float:
+    numerator, denominator, scale = _rational_parts(moments, gamma)
+    if denominator <= DENOMINATOR_FLOOR * scale:
+        raise DegenerateDirection(
+            f"{x1} - {gamma!r}*{x2} is constant "
+            f"(variance {denominator!r})")
+    return numerator / denominator
 
 
 def slope_on_gamma(ds: Dataset, response: str, x1: str, x2: str,
@@ -116,13 +160,8 @@ def slope_on_gamma(ds: Dataset, response: str, x1: str, x2: str,
         If ``var(x1 - gamma * x2)`` is zero relative to its scale, i.e. the
         combined predictor is constant at this gamma.
     """
-    numerator, denominator, scale = _rational_parts(
-        _moments(ds, response, x1, x2), float(gamma))
-    if denominator <= DENOMINATOR_FLOOR * scale:
-        raise DegenerateDirection(
-            f"{x1} - {gamma!r}*{x2} is constant "
-            f"(variance {denominator!r})")
-    return numerator / denominator
+    return _slope_from_moments(_moments(ds, response, x1, x2),
+                               float(gamma), x1, x2)
 
 
 def combined_slope(ds: Dataset, response: str, x1: str,
@@ -172,9 +211,13 @@ def gamma_roots(ds: Dataset, response: str, x1: str, x2: str
         If ``|b1|`` is zero relative to the natural slope scale
         ``sd(response)/sd(x1)``, making ``-b2/b1`` undefined.
     """
-    full = fit(ds, response, (x1, x2))
-    b1, b2 = full.slopes
-    slope_scale = max(1.0, column_stats(ds, response).sd
+    return _roots_from_fit(ds, fit(ds, response, (x1, x2)))
+
+
+def _roots_from_fit(ds: Dataset, full: RegressionFit) -> tuple[float, ...]:
+    """:func:`gamma_roots` given the fit of the response on ``(x1, x2)``."""
+    (x1, x2), (b1, b2) = full.predictors, full.slopes
+    slope_scale = max(1.0, column_stats(ds, full.response).sd
                       / column_stats(ds, x1).sd)
     if abs(b1) <= _LEAD_SLOPE_FLOOR * slope_scale:
         raise ZeroLeadSlope(
@@ -248,31 +291,28 @@ def gamma_sweep(ds: Dataset, response: str, x1: str, x2: str,
     (so ``-b2/b1`` does not exist) the sweep still carries the remaining
     root ``c12``.
     """
-    grid = np.asarray(gammas, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("gamma grid must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("gamma grid contains a non-finite value")
-    reference_slope = fit(ds, response, (x1, x2)).slopes[0]
+    grid = _checked_grid(gammas)
+    full = fit(ds, response, (x1, x2))
+    reference_slope = full.slopes[0]
     try:
-        roots = gamma_roots(ds, response, x1, x2)
+        roots = _roots_from_fit(ds, full)
     except ZeroLeadSlope:
         roots = (fit_simple(ds, x1, x2).slopes[0],)
+    moments = _moments(ds, response, x1, x2)
     for root in roots:
-        _check_root(slope_on_gamma(ds, response, x1, x2, root),
+        _check_root(_slope_from_moments(moments, root, x1, x2),
                     reference_slope, (root,))
-    numerator, denominator, scale = _rational_parts(
-        _moments(ds, response, x1, x2), grid)
+    numerator, denominator, scale = _rational_parts(moments, grid)
     defined = denominator > DENOMINATOR_FLOOR * scale
     values = numerator[defined] / denominator[defined]
     return GammaSweep(
         axis_names=("gamma",),
-        grids=(tuple(float(g) for g in grid),),
-        points=tuple((float(g),) for g in grid[defined]),
-        values=tuple(float(v) for v in values),
+        grids=(tuple(grid.tolist()),),
+        points=tuple((g,) for g in grid[defined].tolist()),
+        values=tuple(values.tolist()),
         reference_slope=reference_slope,
         roots=tuple((float(r),) for r in roots),
-        undefined_points=tuple((float(g),) for g in grid[~defined]),
+        undefined_points=tuple((g,) for g in grid[~defined].tolist()),
     )
 
 
@@ -287,61 +327,36 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
     ``(c12, c13)``, the slopes of ``x1`` on the controls, it equals the
     three-predictor multiple slope ``b1``, and that point is carried as
     the surface's root annotation.  Points are row-major: ``gamma3``
-    varies fastest.
+    varies fastest.  More than :data:`MAX_GRID_POINTS` points raise
+    :class:`GridTooLarge`.
     """
     controls = list(controls)
     if len(controls) != 2:
         raise LengthMismatch(
             f"surface needs exactly 2 controls, got {len(controls)}")
     x2, x3 = controls
-    grid2 = np.asarray(gammas2, dtype=np.float64)
-    grid3 = np.asarray(gammas3, dtype=np.float64)
-    for grid in (grid2, grid3):
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("gamma grid must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(grid)):
-            raise ValueError("gamma grid contains a non-finite value")
+    grid2, grid3 = _checked_grid(gammas2), _checked_grid(gammas3)
+    if grid2.size * grid3.size > MAX_GRID_POINTS:
+        raise GridTooLarge(f"{grid2.size} x {grid3.size} surface has more "
+                           f"than {MAX_GRID_POINTS} points")
     reference_slope = fit(ds, response, (x1, x2, x3)).slopes[0]
     aux = fit(ds, x1, (x2, x3))
     root = (aux.slopes[0], aux.slopes[1])
     _check_root(combined_slope(ds, response, x1, controls, root),
                 reference_slope, root)
 
-    x1_col = ds.column(x1)
-    x2_col = ds.column(x2)
-    x3_col = ds.column(x3)
-    y = ds.column(response)
-    y_dev = y - y.mean()
-    v1 = column_stats(ds, x1).variance
-    v2 = column_stats(ds, x2).variance
-    v3 = column_stats(ds, x3).variance
-
-    points: list[tuple[float, float]] = []
-    values: list[float] = []
-    undefined: list[tuple[float, float]] = []
-    for g2 in grid2:
-        base = x1_col - g2 * x2_col
-        # rows of `combined`: the candidate predictor at each gamma3
-        combined = base[None, :] - grid3[:, None] * x3_col[None, :]
-        deviations = combined - combined.mean(axis=1, keepdims=True)
-        denominator = np.mean(deviations * deviations, axis=1)
-        scale = v1 + (g2 * g2) * v2 + (grid3 * grid3) * v3
-        defined = denominator > DENOMINATOR_FLOOR * scale
-        numerator = deviations @ y_dev / y_dev.size
-        for j, g3 in enumerate(grid3):
-            point = (float(g2), float(g3))
-            if defined[j]:
-                points.append(point)
-                values.append(float(numerator[j] / denominator[j]))
-            else:
-                undefined.append(point)
+    g2, g3 = np.meshgrid(grid2, grid3, indexing="ij")
+    numerator, denominator, scale = _rational_parts(
+        _moments(ds, response, x1, x2, x3), g2, g3)
+    defined = denominator > DENOMINATOR_FLOOR * scale
+    values = numerator[defined] / denominator[defined]
     return GammaSweep(
         axis_names=("gamma", "gamma3"),
-        grids=(tuple(float(g) for g in grid2),
-               tuple(float(g) for g in grid3)),
-        points=tuple(points),
-        values=tuple(values),
+        grids=(tuple(grid2.tolist()), tuple(grid3.tolist())),
+        points=tuple(zip(g2[defined].tolist(), g3[defined].tolist())),
+        values=tuple(values.tolist()),
         reference_slope=reference_slope,
         roots=(root,),
-        undefined_points=tuple(undefined),
+        undefined_points=tuple(zip(g2[~defined].tolist(),
+                                   g3[~defined].tolist())),
     )

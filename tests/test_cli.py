@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import partialreg.cli
 from partialreg import (
     fit,
     fit_simple,
@@ -123,6 +124,24 @@ class TestResidualizeCommand:
         residual = residualize(d1, "X1", ["X2"])
         got = merged.column("X1*").tolist()
         assert got == [round_to_printed(v) for v in residual.values]
+
+    def test_builds_only_the_requested_format(self, capsys, monkeypatch,
+                                              tmp_path, d1_csv, d1):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return round_to_printed(value)
+
+        monkeypatch.setattr(partialreg.cli, "round_to_printed", counting)
+        argv = ["residualize", "--input", d1_csv, "--target", "X1",
+                "--controls", "X2"]
+        assert main([*argv, "--format", "csv",
+                     "--output", str(tmp_path / "res.csv")]) == EXIT_OK
+        assert calls == []
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == d1.n + 1
 
 
 class TestSweepCommand:
@@ -337,12 +356,23 @@ class TestErrorHandling:
             main([])
         assert exc.value.code == EXIT_USAGE
 
-    def test_bad_gamma_step_is_usage(self, capsys, d1_csv):
+    @pytest.mark.parametrize("step", ["0", "nan", "inf"])
+    def test_bad_gamma_step_is_usage(self, capsys, d1_csv, step):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--input", d1_csv, "--response", "Y",
                   "--x1", "X1", "--x2", "X2", "--gamma-min", "0",
-                  "--gamma-max", "1", "--gamma-step", "0"])
+                  "--gamma-max", "1", "--gamma-step", step])
         assert exc.value.code == EXIT_USAGE
+
+    def test_oversized_grid_is_an_input_error(self, capsys, d1_csv):
+        code = main(["sweep", "--input", d1_csv, "--response", "Y",
+                     "--x1", "X1", "--x2", "X2", "--gamma-min=-1e308",
+                     "--gamma-max=1e308", "--gamma-step=1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        doc = json.loads(captured.out)
+        assert doc["results"] is None
+        assert doc["diagnostics"]["error"] == "GridTooLarge"
 
     def test_reversed_gamma_range_is_usage(self, capsys, d1_csv):
         with pytest.raises(SystemExit) as exc:
@@ -364,8 +394,10 @@ class TestErrorHandling:
                   "--predictors", "X1,,X2"])
         assert exc.value.code == EXIT_USAGE
 
-    def test_nonpositive_tolerance_is_usage(self, capsys, d1_csv):
+    @pytest.mark.parametrize("tolerance", ["0", "nan", "inf"])
+    def test_nonpositive_tolerance_is_usage(self, capsys, d1_csv, tolerance):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--input", d1_csv, "--response", "Y",
-                  "--x1", "X1", "--controls", "X2", "--tolerance", "0"])
+                  "--x1", "X1", "--controls", "X2",
+                  "--tolerance", tolerance])
         assert exc.value.code == EXIT_USAGE

@@ -12,11 +12,14 @@ from helpers import (
     random_dataset,
     sign_change_count,
 )
+import partialreg.gamma
 from partialreg import (
     Dataset,
     DegenerateDirection,
     GammaSweep,
+    GridTooLarge,
     LengthMismatch,
+    PartialRegError,
     ZeroLeadSlope,
     column_stats,
     combined_slope,
@@ -60,6 +63,21 @@ def near_collinear_dataset() -> Dataset:
     })
 
 
+def near_collinear_controls_dataset(rng: np.random.Generator,
+                                    n: int) -> Dataset:
+    # X3 = X2 + 1e-7 * e, with e orthogonal to the intercept, X1, X2 and
+    # Y: the fits stay well posed and the root (c12, c13) stays modest,
+    # but X1 - g*X2 + g*X3 is constant relative to its scale for large g.
+    x1 = rng.normal(size=n)
+    x2 = 0.5 * x1 + rng.normal(size=n)
+    y = x1 - x2 + rng.normal(size=n)
+    basis = np.column_stack([np.ones(n), x1, x2, y])
+    e = rng.normal(size=n)
+    e -= basis @ np.linalg.lstsq(basis, e, rcond=None)[0]
+    return Dataset({"X1": x1, "X2": x2, "X3": x2 + 1e-7 * e / e.std(),
+                    "Y": y})
+
+
 class TestGridPoints:
     def test_inclusive_endpoints(self):
         grid = grid_points(-2.0, 2.0, 0.01)
@@ -85,6 +103,19 @@ class TestGridPoints:
             grid_points(1.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             grid_points(0.0, float("inf"), 0.1)
+
+    def test_size_gate_counts_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(partialreg.gamma, "MAX_GRID_POINTS", 11)
+        assert grid_points(0.0, 1.0, 0.1).size == 11
+        with pytest.raises(GridTooLarge):
+            grid_points(0.0, 1.0, 0.05)
+
+    def test_range_too_wide_for_a_float_count(self):
+        # (hi - lo) / step overflows to inf; no array is ever built.
+        with pytest.raises(GridTooLarge) as exc:
+            grid_points(-1e308, 1e308, 1.0)
+        assert isinstance(exc.value, PartialRegError)
+        assert isinstance(exc.value, ValueError)
 
 
 class TestSlopeOnGamma:
@@ -367,8 +398,46 @@ class TestGammaSurface:
         surface = gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"],
                                 [-1.0, 0.25, 2.0], [0.0])
         for (g2, _), value in zip(surface.points, surface.values):
-            scalar = slope_on_gamma(d1_extended, "Y", "X1", "X2", g2)
-            assert value == pytest.approx(scalar, rel=1e-12)
+            assert value == slope_on_gamma(d1_extended, "Y", "X1", "X2", g2)
+
+    def test_closed_form_matches_data_route(self):
+        # Offsets and unit changes must cost the moment closed form no
+        # accuracy.  The offset column is widened first because `fit`
+        # gates on the raw design, which a 1e6 offset on a unit-spread
+        # column pushes past CONDITION_LIMIT.
+        rng = np.random.default_rng(1205)
+        grid = grid_points(-2.0, 2.0, 0.5)
+        cases = []
+        for _ in range(8):
+            ds = random_dataset(rng, n=int(rng.integers(8, 60)), k=3)
+            cols = {name: ds.column(name) for name in ds.names}
+            cases.append((ds, grid))
+            cases.append((Dataset({**cols, "X3": 100.0 * cols["X3"] + 1e6,
+                                   "Y": cols["Y"] + 1e6}), grid))
+            cases.append((Dataset({**cols, **{
+                name: 1e-4 * cols[name] for name in ("X1", "X2", "X3")}}),
+                grid))
+        far = [-1e7, 0.0, 1e7]
+        cases.append((near_collinear_controls_dataset(rng, 30), far))
+        undefined = 0
+        for ds, axis in cases:
+            surface = gamma_surface(ds, "Y", "X1", ["X2", "X3"], axis, axis)
+            for point, value in zip(surface.points, surface.values):
+                want = combined_slope(ds, "Y", "X1", ["X2", "X3"], point)
+                assert abs(value - want) <= 1e-10 * abs(want)
+            for point in surface.undefined_points:
+                with pytest.raises(DegenerateDirection):
+                    combined_slope(ds, "Y", "X1", ["X2", "X3"], point)
+            undefined += len(surface.undefined_points)
+        assert undefined == 2
+
+    def test_size_gate(self, d1_extended, monkeypatch):
+        monkeypatch.setattr(partialreg.gamma, "MAX_GRID_POINTS", 4)
+        gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"],
+                      [0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(GridTooLarge):
+            gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"],
+                          [0.0, 1.0], [0.0, 0.5, 1.0])
 
     def test_surface_value_matches_oracle(self, d1_extended):
         cols = {n: [Fraction(v) for v in d1_extended.column(n)]
