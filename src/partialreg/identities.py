@@ -28,6 +28,7 @@ not noise.  The checks:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .ols import fit, fit_simple
-from .stats import multiple_correlation, pearson_r
+from .stats import correlation_matrix, multiple_correlation
 from .transform import apply_transform, build_transform, map_coefficients, residualize
 
 __all__ = [
@@ -106,6 +107,18 @@ def _claim_name(control_count: int) -> str:
     return "residualized_slope_many_controls"
 
 
+def _residualized_slope(ds: Dataset, response: str, x1: str,
+                        controls: list[str], tolerance: float):
+    """The residualized-slope report plus its full fit, residual and data."""
+    full = fit(ds, response, [x1, *controls])
+    residual = residualize(ds, x1, controls)
+    augmented = residual.merged_into(ds)
+    simple = fit_simple(augmented, response, residual.name)
+    report = _report(_claim_name(len(controls)),
+                     full.slopes[0], simple.slopes[0], tolerance)
+    return report, full, residual, augmented
+
+
 def verify_residualized_slope(ds: Dataset, response: str, x1: str,
                               controls: Sequence[str],
                               tolerance: float = DEFAULT_TOLERANCE
@@ -116,13 +129,8 @@ def verify_residualized_slope(ds: Dataset, response: str, x1: str,
     ``[x1, *controls]``; ``rhs`` is the slope of the simple fit of
     ``response`` on ``x1`` residualized against the controls.
     """
-    controls = list(controls)
-    full = fit(ds, response, [x1, *controls])
-    residual = residualize(ds, x1, controls)
-    augmented = residual.merged_into(ds)
-    simple = fit_simple(augmented, response, residual.name)
-    return _report(_claim_name(len(controls)),
-                   full.slopes[0], simple.slopes[0], tolerance)
+    return _residualized_slope(ds, response, x1, list(controls),
+                               tolerance)[0]
 
 
 def aggregate_coefficients(slopes: Sequence[float],
@@ -195,19 +203,14 @@ def decompose_coefficients(a1: float, a2: float, c12: float, c21: float
     return (b1, b2)
 
 
+@contextmanager
 def _tag_claim(claim: str):
-    """Re-raise library errors annotated with the claim being checked."""
-    class _Tagger:
-        def __enter__(self):
-            return None
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, PartialRegError):
-                raise type(exc)(
-                    f"while checking {claim}: {exc}") from exc
-            return False
-
-    return _Tagger()
+    """Annotate library errors in place with the claim being checked."""
+    try:
+        yield
+    except PartialRegError as exc:
+        exc.args = (f"while checking {claim}: {exc}", *exc.args[1:])
+        raise
 
 
 def run_verification_suite(ds: Dataset, response: str, x1: str,
@@ -237,23 +240,18 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
     if not controls:
         raise ValueError("need at least one control")
     names = [x1, *controls]
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            r = pearson_r(ds, names[i], names[j])
-            if abs(r) >= 1.0 - 1e-12:
-                raise CollinearPredictors(
-                    f"columns {names[i]!r} and {names[j]!r} are "
-                    f"proportional (|r| = {abs(r)!r})")
+    corr = correlation_matrix(ds, names)
+    for i, j in zip(*np.triu_indices(len(names), 1)):
+        r = float(corr[i, j])
+        if abs(r) >= 1.0 - 1e-12:
+            raise CollinearPredictors(
+                f"columns {names[i]!r} and {names[j]!r} are "
+                f"proportional (|r| = {abs(r)!r})")
 
-    reports: list[VerificationReport] = []
-
-    claim = _claim_name(len(controls))
-    with _tag_claim(claim):
-        reports.append(
-            verify_residualized_slope(ds, response, x1, controls, tolerance))
-        full = fit(ds, response, names)
-        residual = residualize(ds, x1, controls)
-        augmented = residual.merged_into(ds)
+    with _tag_claim(_claim_name(len(controls))):
+        first, full, residual, augmented = _residualized_slope(
+            ds, response, x1, controls, tolerance)
+    reports = [first]
 
     with _tag_claim("residual_uncorrelated_with_controls"):
         rho = multiple_correlation(augmented, residual.name, controls)
@@ -269,8 +267,8 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
                                    (on_x3, on_x2), (0.0, 0.0), tolerance))
 
     with _tag_claim("mapped_coefficients_match_refit"):
-        k = len(names)
-        transform = build_transform(k, 1, residual.control_coefficients)
+        transform = build_transform(len(names), 1,
+                                    residual.control_coefficients)
         transformed = apply_transform(ds, names, transform)
         refit = fit(transformed, response, names)
         mapped = map_coefficients(full.coefficients(), transform)
@@ -285,7 +283,7 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
             c12 = fit_simple(ds, x1, x2).slopes[0]
             c21 = fit_simple(ds, x2, x1).slopes[0]
             b1, b2 = full.slopes
-            r = pearson_r(ds, x1, x2)
+            r = float(corr[0, 1])
             reports.append(_report(
                 "two_predictor_slope_relations",
                 (b1 * c12, b2 * c21, c12 * c21),
@@ -293,9 +291,8 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
                 tolerance))
 
     with _tag_claim("aggregation_recovers_subset_slopes"):
-        matrix = np.zeros((k, len(controls)))
-        matrix[0, :] = fit(ds, x1, controls).slopes
-        matrix[1:, :] = np.eye(len(controls))
+        matrix = np.vstack([residual.control_coefficients,
+                            np.eye(len(controls))])
         aggregated = aggregate_coefficients(full.slopes, matrix)
         subset = fit(ds, response, controls)
         reports.append(_report("aggregation_recovers_subset_slopes",

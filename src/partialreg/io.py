@@ -48,22 +48,27 @@ def round_to_printed(value: float) -> float:
 def load_csv(path: str | os.PathLike) -> Dataset:
     """Read a dataset from a strict comma-separated file.
 
+    The file must be UTF-8; a leading byte order mark is skipped.
+
     Raises
     ------
     IoError
         If the file cannot be opened or read.
     ParseError
         (Or a subclass: :class:`DuplicateHeader`, :class:`RaggedRow`,
-        :class:`MissingValue`, :class:`NonNumericCell`.)  If the content
-        violates the format; the error carries row/column coordinates.
+        :class:`MissingValue`, :class:`NonNumericCell`.)  If the content is
+        not UTF-8 or violates the format (then with row/column coordinates).
     TooFewRows
         If fewer than two data rows survive parsing.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise IoError(f"cannot read {os.fspath(path)!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{os.fspath(path)!r} is not UTF-8 text ({exc.reason})") from exc
 
     if not rows:
         raise ParseError(f"{os.fspath(path)!r} is empty")

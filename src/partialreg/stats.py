@@ -110,33 +110,30 @@ def pearson_r(ds: Dataset, a: str, b: str) -> float:
         If rounding pushed the ratio outside [-1, 1] by more than
         :data:`CLAMP_TOLERANCE`.
     """
-    stats_a = column_stats(ds, a)
-    stats_b = column_stats(ds, b)
-    if stats_a.variance == 0.0:
-        raise ZeroVariance(f"column {a!r} is constant")
-    if stats_b.variance == 0.0:
-        raise ZeroVariance(f"column {b!r} is constant")
-    r = covariance(ds, a, b) / (stats_a.sd * stats_b.sd)
-    return _clamp(r, -1.0, 1.0, f"pearson_r({a!r}, {b!r})")
+    return float(correlation_matrix(ds, [a, b])[0, 1])
 
 
 def correlation_matrix(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     """Correlation matrix of the named columns.
 
-    Unit diagonal and exact symmetry hold by construction: each off-diagonal
-    pair is computed once and mirrored.
+    Each column is centered once.  Unit diagonal and exact symmetry hold by
+    construction: each off-diagonal pair is computed once and mirrored.
+    Raises like :func:`pearson_r`, checking the columns in order.
     """
     names = list(names)
+    devs, sds = [], []
     for name in names:
-        if column_stats(ds, name).variance == 0.0:
+        dev = _centered(ds, name)
+        variance = _mean_product(dev, dev)
+        if variance == 0.0:
             raise ZeroVariance(f"column {name!r} is constant")
-    m = len(names)
-    corr = np.eye(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            r = pearson_r(ds, names[i], names[j])
-            corr[i, j] = r
-            corr[j, i] = r
+        devs.append(dev)
+        sds.append(math.sqrt(variance))
+    corr = np.eye(len(names))
+    for i, j in zip(*np.triu_indices(len(names), 1)):
+        r = _mean_product(devs[i], devs[j]) / (sds[i] * sds[j])
+        corr[i, j] = corr[j, i] = _clamp(
+            r, -1.0, 1.0, f"pearson_r({names[i]!r}, {names[j]!r})")
     return corr
 
 

@@ -351,6 +351,27 @@ class TestErrorHandling:
         assert doc["diagnostics"]["row"] == 3
         assert doc["diagnostics"]["column"] == 2
 
+    def test_byte_order_mark_header_fits(self, capsys, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfX1,Y\n1,2\n2,4\n3,5\n")
+        code = main(["fit", "--input", str(path), "--response", "Y",
+                     "--predictors", "X1"])
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"]["predictors"] == ["X1"]
+
+    def test_non_utf8_input_gets_an_envelope(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"X1,Y\n1,2\n\xff,4\n3,5\n")
+        code = main(["fit", "--input", str(path), "--response", "Y",
+                     "--predictors", "X1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        doc = json.loads(captured.out)
+        assert doc["results"] is None
+        assert doc["diagnostics"]["error"] == "ParseError"
+        assert "not UTF-8" in doc["diagnostics"]["message"]
+
     def test_missing_subcommand_is_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

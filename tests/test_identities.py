@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+import partialreg.identities
+import partialreg.transform
 from helpers import predictor_names, random_dataset
 from partialreg import (
     CollinearPredictors,
     Dataset,
     NonCanonicalSubsetRows,
+    ParseError,
+    ResidualizedVariable,
     ShapeMismatch,
     SingularDesign,
     VerificationReport,
@@ -270,3 +274,55 @@ class TestRunVerificationSuite:
         for report in run_verification_suite(d1, "Y", "X1", ["X2"]):
             assert report.passed == (report.abs_diff <= report.tolerance)
             assert len(report.lhs) == len(report.rhs)
+
+    def test_tag_claim_annotates_the_same_error(self):
+        original = ParseError("bad", row=3, column=2)
+        with pytest.raises(ParseError) as exc:
+            with partialreg.identities._tag_claim("c"):
+                raise original
+        assert exc.value is original
+        assert (exc.value.row, exc.value.column) == (3, 2)
+        assert str(exc.value) == "while checking c: bad"
+
+    @pytest.mark.parametrize("controls, fits", [
+        (["X2"], 4),
+        (["X2", "X3"], 6),
+    ], ids=["one_control", "two_controls"])
+    def test_fits_each_design_once(self, monkeypatch, d1_extended,
+                                   controls, fits):
+        calls = []
+        merges = []
+
+        def counting_fit(ds, response, predictors):
+            calls.append(predictors)
+            return fit(ds, response, predictors)
+
+        def counting_merge(residual, ds):
+            merges.append(residual.name)
+            return merged_into(residual, ds)
+
+        merged_into = ResidualizedVariable.merged_into
+        monkeypatch.setattr(partialreg.identities, "fit", counting_fit)
+        monkeypatch.setattr(partialreg.transform, "fit", counting_fit)
+        monkeypatch.setattr(ResidualizedVariable, "merged_into",
+                            counting_merge)
+        run_verification_suite(d1_extended, "Y", "X1", controls)
+        assert len(calls) == fits
+        assert merges == ["X1*"]
+
+    @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
+                             ids=["one_control", "two_controls"])
+    def test_reports_equal_the_public_calls(self, controls):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            ds = random_dataset(rng, n=int(rng.integers(8, 60)), k=3)
+            reports = run_verification_suite(ds, "Y", "X1", controls)
+            assert reports[0] == verify_residualized_slope(
+                ds, "Y", "X1", controls)
+            full = fit(ds, "Y", ["X1", *controls])
+            matrix = np.vstack([fit(ds, "X1", controls).slopes,
+                                np.eye(len(controls))])
+            aggregation = reports[-1]
+            assert aggregation.claim == "aggregation_recovers_subset_slopes"
+            assert aggregation.lhs == aggregate_coefficients(
+                full.slopes, matrix)

@@ -106,6 +106,20 @@ class TestLoadCsv:
         with pytest.raises(NonNumericCell):
             load_csv(write(tmp_path, "a,b\n1,nan\n3,4\n"))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfX1,Y\n1,2\n3,5\n")
+        ds = load_csv(path)
+        assert ds.names == ("X1", "Y")
+        assert ds.column("X1").tolist() == [1.0, 3.0]
+
+    def test_non_utf8_bytes_raise_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"X1,Y\n1,2\n\xff,5\n")
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            load_csv(path)
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
     def test_single_data_row_is_too_few(self, tmp_path):
         with pytest.raises(TooFewRows):
             load_csv(write(tmp_path, "a,b\n1,2\n"))
