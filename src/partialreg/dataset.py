@@ -11,13 +11,18 @@ from .errors import DuplicateColumn, LengthMismatch, TooFewRows, UnknownColumn
 __all__ = ["Dataset"]
 
 
-def _freeze(values: Iterable[float], name: str) -> np.ndarray:
+def _freeze(values: Iterable[float], name: str, n: int | None) -> np.ndarray:
+    if not isinstance(name, str) or not name:
+        raise ValueError("column names must be non-empty strings")
     arr = np.array(list(values) if not isinstance(values, np.ndarray) else values,
                    dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"column {name!r} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"column {name!r} contains a non-finite value")
+    if n is not None and arr.size != n:
+        raise LengthMismatch(
+            f"column {name!r} has {arr.size} rows, expected {n}")
     arr.setflags(write=False)
     return arr
 
@@ -42,24 +47,15 @@ class Dataset:
     def __init__(self, columns: Mapping[str, Iterable[float]]):
         if not columns:
             raise ValueError("a dataset needs at least one column")
-        names: list[str] = []
         frozen: dict[str, np.ndarray] = {}
         n: int | None = None
         for name, values in columns.items():
-            if not isinstance(name, str) or not name:
-                raise ValueError("column names must be non-empty strings")
-            arr = _freeze(values, name)
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise LengthMismatch(
-                    f"column {name!r} has {arr.size} rows, expected {n}")
-            names.append(name)
-            frozen[name] = arr
+            frozen[name] = _freeze(values, name, n)
+            n = frozen[name].size
         assert n is not None
         if n < 2:
             raise TooFewRows(f"need at least 2 rows, got {n}")
-        self._names = tuple(names)
+        self._names = tuple(frozen)
         self._columns = frozen
         self._n = n
 
@@ -119,16 +115,22 @@ class Dataset:
         """Return a new dataset with ``values`` appended under ``name``."""
         if name in self._columns:
             raise DuplicateColumn(f"column {name!r} already exists")
-        merged = {c: self._columns[c] for c in self._names}
-        merged[name] = values
-        return Dataset(merged)
+        return self._derive({name: values})
 
     def replace_columns(self, replacements: Mapping[str, Iterable[float]]
                         ) -> "Dataset":
         """Return a new dataset with the named columns' values swapped out."""
-        for name in replacements:
-            self.require(name)
-        merged: dict[str, Iterable[float]] = {}
-        for name in self._names:
-            merged[name] = replacements.get(name, self._columns[name])
-        return Dataset(merged)
+        self.require(*replacements)
+        return self._derive({name: replacements[name] for name in self._names
+                             if name in replacements})
+
+    def _derive(self, fresh: Mapping[str, Iterable[float]]) -> "Dataset":
+        # Arrays already here are frozen and valid: only ``fresh`` is checked.
+        columns = dict(self._columns)
+        for name, values in fresh.items():
+            columns[name] = _freeze(values, name, self._n)
+        derived = object.__new__(Dataset)
+        derived._names = tuple(columns)
+        derived._columns = columns
+        derived._n = self._n
+        return derived

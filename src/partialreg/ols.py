@@ -1,8 +1,8 @@
 """Ordinary least squares with an explicit conditioning gate.
 
-``fit`` solves the normal-equations problem through an orthogonal
-decomposition (``numpy.linalg.lstsq``) rather than by forming X'X, and it
-refuses designs whose condition number says the answer would be noise.
+``fit`` solves least squares through one R-only QR of ``[1, X | y]``, taken
+a tile of rows at a time, rather than by forming X'X, and it refuses
+designs whose condition number says the answer would be noise.
 ``fit_simple`` is the one-predictor closed form, kept as a separate code
 path on purpose: several identities in this package equate outputs of the
 two routes, and that check is only meaningful if they do not share code.
@@ -10,6 +10,7 @@ two routes, and that check is only meaningful if they do not share code.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -36,6 +37,9 @@ __all__ = [
 
 #: Designs whose 2-norm condition number exceeds this are rejected.
 CONDITION_LIMIT = 1e12
+
+# Rows per QR tile in ``fit``; 8192 (320 KB at k = 3) measured fastest.
+_TILE_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -103,24 +107,33 @@ def fit(ds: Dataset, response: str,
     """
     preds = tuple(predictors)
     y = ds.column(response)
-    x = design_matrix(ds, preds)
-    if ds.n < len(preds) + 1:
-        raise TooFewRows(
-            f"{ds.n} rows cannot determine {len(preds) + 1} coefficients")
-    condition = float(np.linalg.cond(x))
+    columns = (*(ds.column(p) for p in preds), y)
+    k = len(preds)
+    if ds.n < k + 1:
+        raise TooFewRows(f"{ds.n} rows cannot determine {k + 1} coefficients")
+    # Q of [1, X | y] never forms; its R holds the design's R in the
+    # leading block, Q'y beside it and the residual norm in the corner.
+    ones = np.ones(min(ds.n, _TILE_ROWS))
+    tile_rs = []
+    for start in range(0, ds.n, _TILE_ROWS):
+        rows = [column[start:start + _TILE_ROWS] for column in columns]
+        tile = np.array([ones[:rows[0].size], *rows]).T  # Fortran order
+        tile_rs.append(np.linalg.qr(tile, mode="r"))
+    r = np.linalg.qr(np.vstack(tile_rs), mode="r")
+    singular = np.linalg.svd(r[:k + 1, :k + 1], compute_uv=False).tolist()
+    condition = singular[0] / singular[-1] if singular[-1] else math.inf
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise SingularDesign(
             f"design for {response!r} ~ {list(preds)} has condition "
             f"{condition:.3g} (limit {CONDITION_LIMIT:.0e})")
-    coef, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ coef
+    coef = np.linalg.solve(r[:k + 1, :k + 1], r[:k + 1, k + 1])
     return RegressionFit(
         response=response,
         predictors=preds,
         intercept=float(coef[0]),
         slopes=tuple(float(c) for c in coef[1:]),
         condition_estimate=condition,
-        rss=float(resid @ resid),
+        rss=float(r[k + 1, k + 1] ** 2) if r.shape[0] > k + 1 else 0.0,
     )
 
 
@@ -142,7 +155,12 @@ def fit_simple(ds: Dataset, response: str, predictor: str) -> RegressionFit:
     slope = covariance(ds, predictor, response) / x_stats.variance
     intercept = float(y.mean()) - slope * x_stats.mean
     resid = y - (intercept + slope * ds.column(predictor))
-    condition = float(np.linalg.cond(design_matrix(ds, (predictor,))))
+    # cond([1, x]) from the eigenvalues of its Gram matrix over n,
+    # [[1, m], [m, m² + v]]: their sum t is 1 + m² + v, their product is v,
+    # and t² - 4v = (1 - v)² + m²(m² + 2 + 2v) has no cancellation.
+    m, v = x_stats.mean, x_stats.variance
+    root = math.hypot(1.0 - v, m * math.sqrt(m * m + 2.0 + 2.0 * v))
+    condition = (1.0 + m * m + v + root) / 2.0 / math.sqrt(v)
     return RegressionFit(
         response=response,
         predictors=(predictor,),

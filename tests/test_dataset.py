@@ -115,3 +115,36 @@ class TestDerivation:
                         "Y": d1.column("Y")})
         assert d1 == same
         assert d1 != same.with_column("Z", [0.0] * 6)
+
+    def test_derived_datasets_share_untouched_columns(self, d1):
+        appended = d1.with_column("Z", [0.0] * 6)
+        replaced = d1.replace_columns({"X2": [9.0] * 6})
+        for name in ("X1", "X2", "Y"):
+            assert appended.column(name) is d1.column(name)
+        for name in ("X1", "Y"):
+            assert replaced.column(name) is d1.column(name)
+        for ds, name in ((appended, "Z"), (replaced, "X2")):
+            with pytest.raises(ValueError):
+                ds.column(name)[0] = 1.0
+
+    @pytest.mark.parametrize("name", ["Z", "X2"])
+    def test_new_values_are_still_validated(self, d1, name):
+        # "Z" goes through with_column, "X2" through replace_columns.
+        def derive(values):
+            if name in d1:
+                return d1.replace_columns({name: values})
+            return d1.with_column(name, values)
+
+        before = {column: d1.column(column).copy() for column in d1.names}
+        with pytest.raises(ValueError, match=f"'{name}' contains a non-finite"):
+            derive([1.0, 2.0, float("nan"), 4.0, 5.0, 6.0])
+        with pytest.raises(LengthMismatch,
+                           match=f"'{name}' has 5 rows, expected 6"):
+            derive([1.0] * 5)
+        source = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        derived = derive(source)
+        source[0] = 42.0
+        assert derived.column(name).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert d1.names == tuple(before)
+        for column, values in before.items():
+            assert np.array_equal(d1.column(column), values)

@@ -431,6 +431,22 @@ class TestGammaSurface:
             undefined += len(surface.undefined_points)
         assert undefined == 2
 
+    @pytest.mark.parametrize("scaled", [("X1", "X2"), ("X3",)])
+    def test_root_check_survives_a_change_of_units(self, scaled):
+        # The root check compares the combined slope at the aux-fit root
+        # with b1, so both fits must keep their accuracy when units change.
+        failed = []
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            ds = random_dataset(rng, n=int(rng.integers(8, 60)), k=3)
+            ds = ds.replace_columns(
+                {name: 1e-4 * ds.column(name) for name in scaled})
+            try:
+                gamma_surface(ds, "Y", "X1", ["X2", "X3"], [0.0], [0.0])
+            except PartialRegError as exc:
+                failed.append((seed, type(exc).__name__))
+        assert failed == []
+
     def test_size_gate(self, d1_extended, monkeypatch):
         monkeypatch.setattr(partialreg.gamma, "MAX_GRID_POINTS", 4)
         gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"],

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
+import partialreg.ols
 from helpers import predictor_names, random_dataset, random_integer_dataset
 from partialreg import (
     Dataset,
@@ -20,7 +21,7 @@ from partialreg import (
     predict,
     residuals,
 )
-from partialreg.ols import CONDITION_LIMIT
+from partialreg.ols import _TILE_ROWS, CONDITION_LIMIT
 
 D1_COEFFICIENTS = (Fraction(4, 33), Fraction(15, 11), Fraction(4, 11))
 D1_SIMPLE_X1 = (Fraction(4, 15), Fraction(59, 35))
@@ -174,6 +175,21 @@ class TestFitSimple:
             assert closed.intercept == pytest.approx(
                 matrix.intercept, rel=1e-9, abs=1e-12)
 
+    def test_condition_matches_design_svd(self):
+        # Plain, offset and rescaled columns; the SVD's own error grows
+        # like eps * cond, hence the scale on the tolerance.
+        rng = np.random.default_rng(61)
+        for i in range(300):
+            x = rng.normal(size=int(rng.integers(3, 200)))
+            if i % 3 == 1:
+                x = x + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 6)
+            elif i % 3 == 2:
+                x = x * 10.0 ** rng.uniform(-6, 6)
+            ds = Dataset({"X1": x, "Y": rng.normal(size=x.size)})
+            want = np.linalg.cond(design_matrix(ds, ("X1",)))
+            got = fit_simple(ds, "Y", "X1").condition_estimate
+            assert abs(got - want) <= 1e-13 * max(1.0, want) * want
+
     def test_constant_predictor_raises_zero_variance(self):
         ds = Dataset({"a": [5.0, 5.0, 5.0], "y": [1.0, 2.0, 3.0]})
         with pytest.raises(ZeroVariance):
@@ -186,6 +202,84 @@ class TestFitSimple:
         assert fit_simple(d1, "Y", "X2").slopes[0] == pytest.approx(
             float(want), rel=1e-14)
         assert want == Fraction(11, 7)
+
+
+TILE_EDGES = (_TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1, 3 * _TILE_ROWS + 5)
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("n", TILE_EDGES)
+    def test_matches_lstsq_condition_and_residual_norm(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(6):
+            ds = random_dataset(rng, n=n, k=k)
+            names = predictor_names(k)
+            x = design_matrix(ds, names)
+            fitted = fit(ds, "Y", names)
+            want, _, _, _ = np.linalg.lstsq(x, ds.column("Y"), rcond=None)
+            for got, ref in zip(fitted.coefficients(), want):
+                assert abs(got - ref) <= 1e-10 * abs(ref)
+            assert fitted.condition_estimate == pytest.approx(
+                np.linalg.cond(x), rel=1e-10)
+            r = residuals(fitted, ds)
+            assert fitted.rss == pytest.approx(float(r @ r), rel=1e-12)
+
+    @pytest.mark.parametrize("n", TILE_EDGES)
+    def test_matches_oracle_on_integer_data(self, n):
+        # The exact Gram matrix of small integers fits in int64, so the
+        # oracle's rational solve sees the same numbers as the fit.
+        rng = np.random.default_rng(n + 1)
+        for k in range(6):
+            ds, exact = random_integer_dataset(rng, n=n, k=k)
+            names = predictor_names(k)
+            x = np.array([[1] * n] + [exact[p] for p in names]).T
+            gram = [[Fraction(int(v)) for v in row] for row in x.T @ x]
+            moment = [Fraction(int(v)) for v in x.T @ np.array(exact["Y"])]
+            want = oracle.solve(gram, moment)
+            fitted = fit(ds, "Y", names)
+            for got, ref in zip(fitted.coefficients(), want):
+                assert abs(got - float(ref)) <= 1e-12 * abs(float(ref))
+
+    @pytest.mark.parametrize("n", [_TILE_ROWS + 1, 3 * _TILE_ROWS + 5])
+    def test_singular_designs_across_tiles_rejected(self, n):
+        rng = np.random.default_rng(7)
+        x1 = rng.normal(size=n)
+        ds = Dataset({"X1": x1, "X2": 2.0 * x1, "C": np.full(n, 3.0),
+                      "Y": rng.normal(size=n)})
+        for predictors in (["X1", "X2"], ["C"], ["X1", "C"]):
+            with pytest.raises(SingularDesign):
+                fit(ds, "Y", predictors)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7])
+    def test_exactly_determined_fit_has_zero_rss(self, k):
+        ds = random_dataset(np.random.default_rng(k), n=k + 1, k=k)
+        fitted = fit(ds, "Y", predictor_names(k))
+        assert fitted.rss == 0.0
+        assert np.max(np.abs(residuals(fitted, ds))) <= 1e-9
+
+    def test_one_tile_per_qr_and_no_design_svd(self, monkeypatch):
+        n, k = 3 * _TILE_ROWS + 5, 3
+        ds = random_dataset(np.random.default_rng(11), n=n, k=k)
+        linalg = partialreg.ols.np.linalg
+        qr_shapes, svd_shapes = [], []
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit ran a decomposition of the design")
+
+        def recorded(real, shapes):
+            def call(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return real(a, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(linalg, "lstsq", forbidden)
+        monkeypatch.setattr(linalg, "cond", forbidden)
+        monkeypatch.setattr(linalg, "qr", recorded(linalg.qr, qr_shapes))
+        monkeypatch.setattr(linalg, "svd", recorded(linalg.svd, svd_shapes))
+        fit(ds, "Y", predictor_names(k))
+        assert [rows for rows, _ in qr_shapes[:-1]] == [_TILE_ROWS] * 3 + [5]
+        assert qr_shapes[-1] == (4 * (k + 2), k + 2)
+        assert svd_shapes == [(k + 1, k + 1)]
 
 
 class TestPredictAndResiduals:
