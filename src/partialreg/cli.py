@@ -25,76 +25,37 @@ digits.  Sweep and surface CSVs written with ``--output`` get a metadata
 sidecar (same basename, ``.meta.json``) carrying ``reference_b1``, the
 roots, and any grid points skipped as degenerate.
 
-Exit codes: 0 success, 1 failed verification, 2 usage or input error.
+Exit codes: 0 success, 1 failed verification, 2 usage or input error.  A
+bad grid range or tolerance is a usage error, found by the library's own
+check before the input is read; an oversized grid gets the JSON envelope.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset import Dataset
-from .errors import ParseError, PartialRegError, ZeroLeadSlope
+from .errors import GridTooLarge, ParseError, PartialRegError, ZeroLeadSlope
 from .gamma import gamma_roots, gamma_surface, gamma_sweep, grid_points
 from .identities import (
     DEFAULT_TOLERANCE,
     VerificationReport,
+    _checked_tolerance,
     run_verification_suite,
 )
 from .io import format_number, load_csv, round_to_printed, to_csv
 from .ols import fit, fit_simple
 from .transform import residualize
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 EXIT_OK = 0
 EXIT_FAILED_VERIFICATION = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, validated before any data access."""
-
-    command: str
-    input_path: str
-    output_format: str = "json"
-    output_path: str | None = None
-    response: str | None = None
-    predictors: tuple[str, ...] | None = None
-    target: str | None = None
-    controls: tuple[str, ...] | None = None
-    x1: str | None = None
-    x2: str | None = None
-    x3: str | None = None
-    gamma_min: float | None = None
-    gamma_max: float | None = None
-    gamma_step: float | None = None
-    gamma2_range: tuple[float, float, float] | None = None
-    gamma3_range: tuple[float, float, float] | None = None
-    tolerance: float = DEFAULT_TOLERANCE
-
-    def validate(self) -> None:
-        """Raise ValueError on non-finite or out-of-range numbers."""
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and positive, got "
-                             f"{self.tolerance}")
-        for lo, hi, step, what in (
-                (self.gamma_min, self.gamma_max, self.gamma_step, "gamma"),
-                (*(self.gamma2_range or (None, None, None)), "gamma2"),
-                (*(self.gamma3_range or (None, None, None)), "gamma3")):
-            if lo is None:
-                continue
-            if not (all(map(math.isfinite, (lo, hi, step)))
-                    and step > 0 and lo <= hi):
-                raise ValueError(
-                    f"bad {what} range {lo}:{hi}:{step}: need finite "
-                    f"numbers, a positive step and min <= max")
 
 
 def _name_list(text: str) -> list[str]:
@@ -118,6 +79,13 @@ def _range_triple(text: str) -> tuple[float, float, float]:
     return (lo, hi, step)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        return _checked_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partialreg",
@@ -128,9 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, default_format: str) -> None:
         p.add_argument("--input", required=True, dest="input_path",
                        help="input CSV file")
-        p.add_argument("--format", choices=("json", "csv"),
-                       default=default_format, dest="output_format",
-                       help=f"output format (default {default_format})")
+        if default_format == "text":  # the one format, so no --format
+            p.set_defaults(output_format="text")
+        else:
+            p.add_argument("--format", choices=("json", "csv"),
+                           default=default_format, dest="output_format",
+                           help=f"output format (default {default_format})")
         p.add_argument("--output", dest="output_path",
                        help="write here instead of stdout")
 
@@ -169,32 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma3-range", required=True, type=_range_triple,
                    metavar="LO:HI:STEP")
 
-    p = sub.add_parser("verify", help="run all identity checks")
-    common(p, "json")
-    p.add_argument("--response", required=True)
-    p.add_argument("--x1", required=True)
-    p.add_argument("--controls", required=True, type=_name_list)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-
-    p = sub.add_parser("report", help="human-readable summary")
-    p.add_argument("--input", required=True, dest="input_path")
-    p.add_argument("--output", dest="output_path")
-    p.add_argument("--response", required=True)
-    p.add_argument("--x1", required=True)
-    p.add_argument("--controls", required=True, type=_name_list)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    for name, default_format, about in (
+            ("verify", "json", "run all identity checks"),
+            ("report", "text", "human-readable summary")):
+        p = sub.add_parser(name, help=about)
+        common(p, default_format)
+        p.add_argument("--response", required=True)
+        p.add_argument("--x1", required=True)
+        p.add_argument("--controls", required=True, type=_name_list)
+        p.add_argument("--tolerance", type=_tolerance,
+                       default=DEFAULT_TOLERANCE)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = vars(args).copy()
-    for key in ("predictors", "controls"):
-        if values.get(key) is not None:
-            values[key] = tuple(values[key])
-    values.setdefault("output_format", "json")
-    return RunConfig(**{k: v for k, v in values.items()
-                        if k in RunConfig.__dataclass_fields__})
 
 
 # --------------------------------------------------------------------------
@@ -205,21 +162,19 @@ def _flat(values: tuple[float, ...]):
     return rounded[0] if len(rounded) == 1 else rounded
 
 
-def _inputs_dict(config: RunConfig) -> dict:
-    inputs: dict = {"input": config.input_path}
+def _inputs_dict(args: argparse.Namespace) -> dict:
+    inputs: dict = {"input": args.input_path}
     for key in ("response", "target", "x1", "x2", "x3",
                 "predictors", "controls"):
-        value = getattr(config, key)
+        value = getattr(args, key, None)
         if value is not None:
-            inputs[key] = list(value) if isinstance(value, tuple) else value
+            inputs[key] = value
     for key in ("gamma_min", "gamma_max", "gamma_step",
-                "gamma2_range", "gamma3_range"):
-        value = getattr(config, key)
+                "gamma2_range", "gamma3_range", "tolerance"):
+        value = getattr(args, key, None)
         if value is not None:
             inputs[key] = (_flat(value) if isinstance(value, tuple)
                            else round_to_printed(value))
-    if config.command in ("verify", "report"):
-        inputs["tolerance"] = round_to_printed(config.tolerance)
     return inputs
 
 
@@ -244,13 +199,14 @@ def _csv_lines(header: str, rows: list[list]) -> str:
 
 
 # --------------------------------------------------------------------------
-# command implementations: each returns ``(payload, exit_code, meta)``, the
-# payload being the results dict or the CSV text, only what ``--format``
-# asks for; ``meta`` is the sidecar of a CSV written to a file, or None.
+# command implementations, called with the arguments, the dataset and the
+# grids: each returns ``(payload, exit_code, meta)``, the payload being the
+# results dict or the text, only what ``--format`` asks for; ``meta`` is the
+# sidecar of a CSV written to a file, or None.
 
-def _cmd_fit(config: RunConfig, ds: Dataset):
-    fitted = fit(ds, config.response, list(config.predictors))
-    if config.output_format == "csv":
+def _cmd_fit(args: argparse.Namespace, ds: Dataset):
+    fitted = fit(ds, args.response, args.predictors)
+    if args.output_format == "csv":
         rows = [("intercept", fitted.intercept),
                 *zip(fitted.predictors, fitted.slopes),
                 ("condition_estimate", fitted.condition_estimate),
@@ -267,9 +223,9 @@ def _cmd_fit(config: RunConfig, ds: Dataset):
     return results, EXIT_OK, None
 
 
-def _cmd_residualize(config: RunConfig, ds: Dataset):
-    residual = residualize(ds, config.target, list(config.controls))
-    if config.output_format == "csv":
+def _cmd_residualize(args: argparse.Namespace, ds: Dataset):
+    residual = residualize(ds, args.target, args.controls)
+    if args.output_format == "csv":
         return to_csv(residual.merged_into(ds)), EXIT_OK, None
     results = {
         "name": residual.name,
@@ -282,7 +238,7 @@ def _cmd_residualize(config: RunConfig, ds: Dataset):
     return results, EXIT_OK, None
 
 
-def _grid_payload(config: RunConfig, sweep):
+def _grid_payload(args: argparse.Namespace, sweep):
     """Payload of a sweep (one axis, scalar coordinates) or a surface (two
     axes, coordinate lists); the sidecar meta goes with either format."""
     meta = {
@@ -290,7 +246,7 @@ def _grid_payload(config: RunConfig, sweep):
         "roots": [_flat(root) for root in sweep.roots],
         "undefined_points": [_flat(p) for p in sweep.undefined_points],
     }
-    if config.output_format == "csv":
+    if args.output_format == "csv":
         header = ",".join((*sweep.axis_names, "a1_star"))
         rows = [[*point, v] for point, v in zip(sweep.points, sweep.values)]
         return _csv_lines(header, rows), EXIT_OK, meta
@@ -304,25 +260,22 @@ def _grid_payload(config: RunConfig, sweep):
     return results, EXIT_OK, meta
 
 
-def _cmd_sweep(config: RunConfig, ds: Dataset):
-    grid = grid_points(config.gamma_min, config.gamma_max, config.gamma_step)
-    return _grid_payload(config, gamma_sweep(
-        ds, config.response, config.x1, config.x2, grid))
+def _cmd_sweep(args: argparse.Namespace, ds: Dataset, grid):
+    return _grid_payload(args, gamma_sweep(
+        ds, args.response, args.x1, args.x2, grid))
 
 
-def _cmd_surface(config: RunConfig, ds: Dataset):
-    return _grid_payload(config, gamma_surface(
-        ds, config.response, config.x1, [config.x2, config.x3],
-        grid_points(*config.gamma2_range), grid_points(*config.gamma3_range)))
+def _cmd_surface(args: argparse.Namespace, ds: Dataset, grid2, grid3):
+    return _grid_payload(args, gamma_surface(
+        ds, args.response, args.x1, [args.x2, args.x3], grid2, grid3))
 
 
-def _cmd_verify(config: RunConfig, ds: Dataset):
+def _cmd_verify(args: argparse.Namespace, ds: Dataset):
     reports = run_verification_suite(
-        ds, config.response, config.x1, list(config.controls),
-        config.tolerance)
+        ds, args.response, args.x1, args.controls, args.tolerance)
     passed = all(r.passed for r in reports)
     code = EXIT_OK if passed else EXIT_FAILED_VERIFICATION
-    if config.output_format == "csv":
+    if args.output_format == "csv":
         rows = [[r.claim, ";".join(map(format_number, r.lhs)),
                  ";".join(map(format_number, r.rhs)), r.abs_diff,
                  r.tolerance, "true" if r.passed else "false"]
@@ -336,12 +289,11 @@ def _cmd_verify(config: RunConfig, ds: Dataset):
     return results, code, None
 
 
-def _cmd_report(config: RunConfig, ds: Dataset) -> tuple[str, int]:
-    response, x1 = config.response, config.x1
-    controls = list(config.controls)
+def _cmd_report(args: argparse.Namespace, ds: Dataset):
+    response, x1, controls = args.response, args.x1, args.controls
     names = [x1, *controls]
     lines: list[str] = []
-    lines.append(f"dataset {config.input_path}: n={ds.n}, "
+    lines.append(f"dataset {args.input_path}: n={ds.n}, "
                  f"columns {', '.join(ds.names)}")
     lines.append("")
 
@@ -384,8 +336,8 @@ def _cmd_report(config: RunConfig, ds: Dataset) -> tuple[str, int]:
     lines.append("")
 
     reports = run_verification_suite(ds, response, x1, controls,
-                                     config.tolerance)
-    lines.append(f"verification (tolerance {format_number(config.tolerance)})")
+                                     args.tolerance)
+    lines.append(f"verification (tolerance {format_number(args.tolerance)})")
     claim_width = max(len(r.claim) for r in reports)
     for r in reports:
         verdict = "pass" if r.passed else "FAIL"
@@ -393,7 +345,7 @@ def _cmd_report(config: RunConfig, ds: Dataset) -> tuple[str, int]:
                      f"max |diff| {format_number(r.abs_diff)}")
     overall = all(r.passed for r in reports)
     lines.append(f"overall: {'pass' if overall else 'FAIL'}")
-    return "\n".join(lines) + "\n", EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK, None
 
 
 _COMMANDS = {
@@ -402,12 +354,32 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "surface": _cmd_surface,
     "verify": _cmd_verify,
+    "report": _cmd_report,
 }
 
 
-def _envelope(config: RunConfig, inputs: dict, results,
+def _grids(args: argparse.Namespace) -> list:
+    """The command's gamma grids, each checked by :func:`grid_points`."""
+    if args.command == "sweep":
+        ranges = {"gamma": (args.gamma_min, args.gamma_max, args.gamma_step)}
+    elif args.command == "surface":
+        ranges = {"gamma2": args.gamma2_range, "gamma3": args.gamma3_range}
+    else:
+        return []
+    grids = []
+    for what, (lo, hi, step) in ranges.items():
+        try:
+            grids.append(grid_points(lo, hi, step))
+        except ValueError as exc:
+            if not isinstance(exc, GridTooLarge):  # that one gets the envelope
+                exc.args = (f"bad {what} range {lo}:{hi}:{step}: {exc}",)
+            raise
+    return grids
+
+
+def _envelope(args: argparse.Namespace, inputs: dict, results,
               diagnostics: dict) -> str:
-    return json.dumps({"command": config.command, "inputs": inputs,
+    return json.dumps({"command": args.command, "inputs": inputs,
                        "results": results, "diagnostics": diagnostics},
                       indent=2) + "\n"
 
@@ -419,16 +391,14 @@ def _emit(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def run(config: RunConfig) -> int:
-    """Execute one validated configuration; returns the exit code."""
-    inputs = _inputs_dict(config)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the exit code.  A bad grid
+    range raises ValueError, naming its option, before the input is read."""
+    inputs = _inputs_dict(args)
     try:
-        ds = load_csv(config.input_path)
-        if config.command == "report":
-            text, code = _cmd_report(config, ds)
-            _emit(text, config.output_path)
-            return code
-        payload, code, meta = _COMMANDS[config.command](config, ds)
+        grids = _grids(args)
+        ds = load_csv(args.input_path)
+        payload, code, meta = _COMMANDS[args.command](args, ds, *grids)
     except PartialRegError as exc:
         diagnostics: dict = {
             "error": type(exc).__name__,
@@ -439,37 +409,35 @@ def run(config: RunConfig) -> int:
                 diagnostics["row"] = exc.row
             if exc.column is not None:
                 diagnostics["column"] = exc.column
-        sys.stdout.write(_envelope(config, inputs, None, diagnostics))
+        sys.stdout.write(_envelope(args, inputs, None, diagnostics))
         sys.stderr.write(f"error: {diagnostics['message']}\n")
         return EXIT_USAGE
 
-    if config.output_format == "csv":
-        _emit(payload, config.output_path)
-        if meta is not None and config.output_path is not None:
-            _emit(_envelope(config, inputs, meta, {}),
-                  str(Path(config.output_path).with_suffix(".meta.json")))
+    if args.output_format != "json":
+        _emit(payload, args.output_path)
+        if meta is not None and args.output_path is not None:
+            _emit(_envelope(args, inputs, meta, {}),
+                  str(Path(args.output_path).with_suffix(".meta.json")))
     else:
         diagnostics = {}
-        if config.command == "verify" and not payload["passed"]:
+        if args.command == "verify" and not payload["passed"]:
             diagnostics["failed_claims"] = [
                 r["claim"] for r in payload["reports"] if not r["passed"]]
-        _emit(_envelope(config, inputs, payload, diagnostics),
-              config.output_path)
+        _emit(_envelope(args, inputs, payload, diagnostics),
+              args.output_path)
     return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        config.validate()
+        return run(args)
     except ValueError as exc:
+        # argument values the library rejects
         parser.error(str(exc))
-    try:
-        return run(config)
-    except (ValueError, OSError) as exc:
-        # argument values the library rejects, and unwritable outputs
+    except OSError as exc:
+        # an output path that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -11,11 +11,12 @@ from .errors import DuplicateColumn, LengthMismatch, TooFewRows, UnknownColumn
 __all__ = ["Dataset"]
 
 
-def _freeze(values: Iterable[float], name: str, n: int | None) -> np.ndarray:
+def _freeze(values: Iterable[float], name: str, n: int | None,
+            copy: bool = True) -> np.ndarray:
     if not isinstance(name, str) or not name:
         raise ValueError("column names must be non-empty strings")
     arr = np.array(list(values) if not isinstance(values, np.ndarray) else values,
-                   dtype=np.float64)
+                   dtype=np.float64, copy=copy)
     if arr.ndim != 1:
         raise ValueError(f"column {name!r} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
@@ -113,9 +114,14 @@ class Dataset:
 
     def with_column(self, name: str, values: Iterable[float]) -> "Dataset":
         """Return a new dataset with ``values`` appended under ``name``."""
+        return self._with_column(name, values, copy=True)
+
+    def _with_column(self, name: str, values: Iterable[float],
+                     copy: bool) -> "Dataset":
+        # ``copy=False`` shares a frozen float64 array this package owns.
         if name in self._columns:
             raise DuplicateColumn(f"column {name!r} already exists")
-        return self._derive({name: values})
+        return self._derive({name: values}, copy)
 
     def replace_columns(self, replacements: Mapping[str, Iterable[float]]
                         ) -> "Dataset":
@@ -124,11 +130,12 @@ class Dataset:
         return self._derive({name: replacements[name] for name in self._names
                              if name in replacements})
 
-    def _derive(self, fresh: Mapping[str, Iterable[float]]) -> "Dataset":
+    def _derive(self, fresh: Mapping[str, Iterable[float]],
+                copy: bool = True) -> "Dataset":
         # Arrays already here are frozen and valid: only ``fresh`` is checked.
         columns = dict(self._columns)
         for name, values in fresh.items():
-            columns[name] = _freeze(values, name, self._n)
+            columns[name] = _freeze(values, name, self._n, copy)
         derived = object.__new__(Dataset)
         derived._names = tuple(columns)
         derived._columns = columns

@@ -27,6 +27,7 @@ not noise.  The checks:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -81,6 +82,14 @@ class VerificationReport:
     passed: bool
 
 
+def _checked_tolerance(tolerance: float) -> float:
+    """Return ``tolerance``; raise ValueError unless finite and positive."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(
+            f"tolerance must be finite and positive, got {tolerance}")
+    return tolerance
+
+
 def _report(claim: str, lhs, rhs, tolerance: float) -> VerificationReport:
     lhs_t = tuple(float(v) for v in np.atleast_1d(lhs))
     rhs_t = tuple(float(v) for v in np.atleast_1d(rhs))
@@ -127,8 +136,10 @@ def verify_residualized_slope(ds: Dataset, response: str, x1: str,
 
     ``lhs`` is the slope on ``x1`` in the fit of ``response`` on
     ``[x1, *controls]``; ``rhs`` is the slope of the simple fit of
-    ``response`` on ``x1`` residualized against the controls.
+    ``response`` on ``x1`` residualized against the controls.  Raises
+    ValueError unless ``tolerance`` is finite and positive.
     """
+    _checked_tolerance(tolerance)
     return _residualized_slope(ds, response, x1, list(controls),
                                tolerance)[0]
 
@@ -228,6 +239,8 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
 
     Raises
     ------
+    ValueError
+        If ``tolerance`` is not finite and positive, or no control is given.
     CollinearPredictors
         If any two of ``[x1, *controls]`` are proportional
         (``|pearson_r| >= 1 - 1e-12``); no report is produced because no
@@ -236,6 +249,7 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
         Propagated from an inner fit, annotated with the claim it arose
         in.
     """
+    _checked_tolerance(tolerance)
     controls = list(controls)
     if not controls:
         raise ValueError("need at least one control")

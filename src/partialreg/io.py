@@ -57,18 +57,23 @@ def load_csv(path: str | os.PathLike) -> Dataset:
     ParseError
         (Or a subclass: :class:`DuplicateHeader`, :class:`RaggedRow`,
         :class:`MissingValue`, :class:`NonNumericCell`.)  If the content is
-        not UTF-8 or violates the format (then with row/column coordinates).
+        not UTF-8, holds a field longer than :func:`csv.field_size_limit`,
+        or violates the format (then with row/column coordinates).
     TooFewRows
         If fewer than two data rows survive parsing.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            rows = list(reader)
     except OSError as exc:
         raise IoError(f"cannot read {os.fspath(path)!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"{os.fspath(path)!r} is not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"line {reader.line_num}: {exc}",
+                         row=reader.line_num) from exc
 
     if not rows:
         raise ParseError(f"{os.fspath(path)!r} is empty")

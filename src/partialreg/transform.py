@@ -149,8 +149,9 @@ class ResidualizedVariable:
         object.__setattr__(self, "values", vals)
 
     def merged_into(self, ds: Dataset) -> Dataset:
-        """Return ``ds`` with this variable appended as a column."""
-        return ds.with_column(self.name, self.values)
+        """Return ``ds`` with this variable appended as a column: the frozen
+        ``values`` array itself, not a copy."""
+        return ds._with_column(self.name, self.values, copy=False)
 
 
 def _combine(ds: Dataset, target: str, controls: Sequence[str],

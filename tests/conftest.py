@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import pytest
 
 from partialreg import Dataset
+
+
+def pytest_configure(config):
+    # Hypothesis caches constants it reads from local modules in its storage
+    # directory, even with ``database=None``: ``.hypothesis/`` under the
+    # working directory unless this says otherwise.  Keep the tree clean.
+    os.environ.setdefault(
+        "HYPOTHESIS_STORAGE_DIRECTORY",
+        os.path.join(tempfile.gettempdir(), "partialreg-hypothesis"))
+
 
 # Canonical small dataset used by the frozen-value tests: integer entries,
 # correlated predictors, exact rational oracle results throughout.

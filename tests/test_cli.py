@@ -422,3 +422,58 @@ class TestErrorHandling:
                   "--x1", "X1", "--controls", "X2",
                   "--tolerance", tolerance])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["fit", "verify"])
+    def test_oversized_field_gets_a_parse_error_envelope(self, capsys,
+                                                         tmp_path, command):
+        path = tmp_path / "wide.csv"
+        path.write_text("X1,X2,Y\n1,2,3\n" + "1" * 131073 + ",1,2\n2,3,5\n")
+        argv = {"fit": ["--response", "Y", "--predictors", "X1,X2"],
+                "verify": ["--response", "Y", "--x1", "X1",
+                           "--controls", "X2"]}[command]
+        code = main([command, "--input", str(path), *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        doc = json.loads(captured.out)
+        assert doc["results"] is None
+        assert doc["diagnostics"]["error"] == "ParseError"
+        assert doc["diagnostics"]["row"] == 3
+        assert "field larger" in captured.err
+
+
+SWEEP = ["sweep", "--response", "Y", "--x1", "X1", "--x2", "X2"]
+SURFACE = ["surface", "--response", "Y", "--x1", "X1", "--x2", "X2",
+           "--x3", "X3"]
+
+
+class TestArgumentsBeforeData:
+    """Bad option values are judged before the input file is opened."""
+
+    @pytest.mark.parametrize("argv, names", [
+        ([*SWEEP, "--gamma-min=0", "--gamma-max=1", "--gamma-step=0"],
+         "bad gamma range"),
+        ([*SWEEP, "--gamma-min=2", "--gamma-max=1", "--gamma-step=0.5"],
+         "bad gamma range"),
+        ([*SURFACE, "--gamma2-range=0:1:0", "--gamma3-range=0:1:0.5"],
+         "bad gamma2 range"),
+        (["verify", "--response", "Y", "--x1", "X1", "--controls", "X2",
+          "--tolerance=nan"], "--tolerance"),
+    ], ids=["zero_step", "reversed_range", "gamma2_step", "tolerance_nan"])
+    def test_bad_value_is_usage_not_io_error(self, capsys, tmp_path, argv,
+                                             names):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", str(tmp_path / "absent.csv")])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert captured.out == ""
+        assert names in captured.err
+
+    def test_oversized_grid_gets_the_envelope_first(self, capsys, tmp_path):
+        code = main([*SWEEP, "--input", str(tmp_path / "absent.csv"),
+                     "--gamma-min=-1e308", "--gamma-max=1e308",
+                     "--gamma-step=1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        doc = json.loads(captured.out)
+        assert doc["results"] is None
+        assert doc["diagnostics"]["error"] == "GridTooLarge"

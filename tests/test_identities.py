@@ -83,6 +83,12 @@ class TestVerifyResidualizedSlope:
         assert not report.passed
         assert report.abs_diff > report.tolerance
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"),
+                                           float("inf")])
+    def test_rejects_tolerance_not_finite_and_positive(self, d1, tolerance):
+        with pytest.raises(ValueError, match="finite and positive"):
+            verify_residualized_slope(d1, "Y", "X1", ["X2"], tolerance)
+
     def test_holds_across_random_datasets(self):
         rng = np.random.default_rng(17)
         for _ in range(60):
@@ -209,6 +215,12 @@ class TestRunVerificationSuite:
     def test_empty_controls_rejected(self, d1):
         with pytest.raises(ValueError):
             run_verification_suite(d1, "Y", "X1", [])
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"),
+                                           float("inf")])
+    def test_rejects_tolerance_not_finite_and_positive(self, d1, tolerance):
+        with pytest.raises(ValueError, match="finite and positive"):
+            run_verification_suite(d1, "Y", "X1", ["X2"], tolerance)
 
     def test_proportional_predictors_rejected_up_front(self):
         with pytest.raises(CollinearPredictors):

@@ -1,5 +1,7 @@
 """CSV loading, saving, and 12-digit number formatting."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="not UTF-8") as exc:
             load_csv(path)
         assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+    def test_oversized_field_raises_parse_error(self, tmp_path):
+        # csv.reader refuses fields over csv.field_size_limit() (131072).
+        path = write(tmp_path, "a,b\n1,2\n" + "1" * 131073 + ",3\n4,5\n")
+        with pytest.raises(ParseError, match="field larger") as exc:
+            load_csv(path)
+        assert exc.value.row == 3
+        assert isinstance(exc.value.__cause__, csv.Error)
 
     def test_single_data_row_is_too_few(self, tmp_path):
         with pytest.raises(TooFewRows):

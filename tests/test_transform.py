@@ -12,6 +12,7 @@ from partialreg import (
     IndexOutOfRange,
     LengthMismatch,
     PredictorTransform,
+    ResidualizedVariable,
     ShapeMismatch,
     SingularDesign,
     SingularTransform,
@@ -143,6 +144,27 @@ class TestResidualize:
     def test_empty_controls_rejected(self, d1):
         with pytest.raises(ValueError):
             residualize(d1, "X1", [])
+
+    def test_merged_into_shares_the_frozen_values(self, d1):
+        res = residualize(d1, "X1", ["X2"])
+        merged = res.merged_into(d1)
+        assert np.shares_memory(merged.column(res.name), res.values)
+        with pytest.raises(ValueError):
+            merged.column(res.name)[0] = 1.0
+
+    def test_merged_into_is_immune_to_the_callers_array(self, d1):
+        source = np.arange(6.0)
+        res = ResidualizedVariable("Z", "X1", ("X2",), (0.5,), source)
+        merged = res.merged_into(d1)
+        source[0] = 42.0
+        assert merged.column("Z").tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert not np.shares_memory(merged.column("Z"), source)
+
+    def test_merged_into_still_rejects_non_finite_values(self, d1):
+        res = ResidualizedVariable("Z", "X1", ("X2",), (0.5,),
+                                   [0.0, 1.0, float("inf"), 3.0, 4.0, 5.0])
+        with pytest.raises(ValueError, match="'Z' contains a non-finite"):
+            res.merged_into(d1)
 
     def test_collinear_controls_rejected(self, d1):
         doubled = d1.with_column("X2b", 2.0 * d1.column("X2"))
