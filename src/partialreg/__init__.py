@@ -58,7 +58,6 @@ from .identities import (
 from .io import format_number, load_csv, round_to_printed, save_csv, to_csv
 from .ols import (
     RegressionFit,
-    design_matrix,
     fit,
     fit_simple,
     predict,
@@ -98,7 +97,6 @@ __all__ = [
     "pearson_r",
     "correlation_matrix",
     "multiple_correlation",
-    "design_matrix",
     "fit",
     "fit_simple",
     "predict",

@@ -17,11 +17,10 @@ predictor is constant.
 
 With a second control, a1*(gamma, gamma3) on ``x1 - gamma*x2 - gamma3*x3``
 is the same rational function with the third column's terms appended.  The
-scalar, sweep and surface evaluators share that one arithmetic path over
-two-pass centered moments computed once per call, so a G x G surface costs
-O(n + G**2) and never rebuilds the combined column; a sweep value at gamma
-and a surface value at ``(gamma, 0)`` are bit-identical to
-``slope_on_gamma`` at the same gamma.
+scalar, sweep and surface evaluators, and the root ``c12``, read one matrix
+of centered moments per call, so a G x G surface costs O(n + G**2) and never
+rebuilds the combined column; a sweep value at gamma and a surface value at
+``(gamma, 0)`` are bit-identical to ``slope_on_gamma`` at the same gamma.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ from .errors import (
     NumericalOvershoot,
     ZeroLeadSlope,
 )
-from .ols import RegressionFit, fit, fit_simple
-from .stats import column_stats, covariance
+from .ols import RegressionFit, fit
+from .stats import _central_moments, column_stats
 
 __all__ = [
     "DENOMINATOR_FLOOR",
@@ -106,32 +105,22 @@ def _checked_grid(gammas: Sequence[float]) -> np.ndarray:
     return grid
 
 
-def _moments(ds: Dataset, response: str, x1: str, x2: str,
-             x3: str | None = None) -> tuple[float, ...]:
-    """The sweep's five second moments, then a third column's four."""
-    moments = (covariance(ds, x1, response), covariance(ds, x2, response),
-               column_stats(ds, x1).variance, covariance(ds, x1, x2),
-               column_stats(ds, x2).variance)
-    if x3 is not None:
-        moments += (covariance(ds, x3, response), covariance(ds, x1, x3),
-                    covariance(ds, x2, x3), column_stats(ds, x3).variance)
-    return moments
-
-
-def _rational_parts(moments: tuple[float, ...], gamma, gamma3=None):
-    """Numerator, denominator, and denominator scale of a1*.
+def _rational_parts(moments: list[list[float]], gamma, gamma3=None):
+    """Numerator, denominator, and denominator scale of a1*, from the
+    centered moments of ``(response, x1, x2[, x3])``.
 
     ``gamma`` (and ``gamma3``) may be floats or broadcastable arrays; the
     expression is written once so every path rounds identically.  The third
     control's terms come after the first's, so at ``gamma3 == 0`` they add
     exact zeros and the result is bit-identical to the one-control value.
     """
-    c1y, c2y, v1, c12, v2 = moments[:5]
+    c1y, c2y, v1, c12, v2 = (moments[0][1], moments[0][2], moments[1][1],
+                             moments[1][2], moments[2][2])
     numerator = c1y - gamma * c2y
     denominator = v1 - (2.0 * gamma) * c12 + (gamma * gamma) * v2
     scale = v1 + (gamma * gamma) * v2
     if gamma3 is not None:
-        c3y, c13, c23, v3 = moments[5:]
+        c3y, c13, c23, v3 = moments[3]  # the x3 row
         numerator = numerator - gamma3 * c3y
         denominator = (denominator - (2.0 * gamma3) * c13
                        + (2.0 * gamma * gamma3) * c23
@@ -140,7 +129,7 @@ def _rational_parts(moments: tuple[float, ...], gamma, gamma3=None):
     return numerator, denominator, scale
 
 
-def _slope_from_moments(moments: tuple[float, ...], gamma: float,
+def _slope_from_moments(moments: list[list[float]], gamma: float,
                         x1: str, x2: str) -> float:
     numerator, denominator, scale = _rational_parts(moments, gamma)
     if denominator <= DENOMINATOR_FLOOR * scale:
@@ -160,8 +149,8 @@ def slope_on_gamma(ds: Dataset, response: str, x1: str, x2: str,
         If ``var(x1 - gamma * x2)`` is zero relative to its scale, i.e. the
         combined predictor is constant at this gamma.
     """
-    return _slope_from_moments(_moments(ds, response, x1, x2),
-                               float(gamma), x1, x2)
+    moments = _central_moments(ds, [response, x1, x2])[1]
+    return _slope_from_moments(moments, float(gamma), x1, x2)
 
 
 def combined_slope(ds: Dataset, response: str, x1: str,
@@ -211,19 +200,22 @@ def gamma_roots(ds: Dataset, response: str, x1: str, x2: str
         If ``|b1|`` is zero relative to the natural slope scale
         ``sd(response)/sd(x1)``, making ``-b2/b1`` undefined.
     """
-    return _roots_from_fit(ds, fit(ds, response, (x1, x2)))
+    return _roots_from_fit(fit(ds, response, (x1, x2)),
+                           _central_moments(ds, [response, x1, x2])[1])
 
 
-def _roots_from_fit(ds: Dataset, full: RegressionFit) -> tuple[float, ...]:
-    """:func:`gamma_roots` given the fit of the response on ``(x1, x2)``."""
-    (x1, x2), (b1, b2) = full.predictors, full.slopes
-    slope_scale = max(1.0, column_stats(ds, full.response).sd
-                      / column_stats(ds, x1).sd)
+def _roots_from_fit(full: RegressionFit, moments: list[list[float]]
+                    ) -> tuple[float, ...]:
+    """:func:`gamma_roots` given the fit of the response on ``(x1, x2)``
+    and the moments of ``(response, x1, x2)``."""
+    x1, (b1, b2) = full.predictors[0], full.slopes
+    slope_scale = max(1.0, math.sqrt(moments[0][0])
+                      / math.sqrt(moments[1][1]))
     if abs(b1) <= _LEAD_SLOPE_FLOOR * slope_scale:
         raise ZeroLeadSlope(
             f"slope on {x1!r} is {b1!r}, within rounding of zero; "
             f"-b2/b1 is undefined")
-    first = fit_simple(ds, x1, x2).slopes[0]
+    first = moments[1][2] / moments[2][2]  # c12, the slope of x1 on x2
     second = -b2 / b1
     if abs(first - second) <= _ROOT_MERGE_SPACING:
         return (first,)
@@ -294,11 +286,11 @@ def gamma_sweep(ds: Dataset, response: str, x1: str, x2: str,
     grid = _checked_grid(gammas)
     full = fit(ds, response, (x1, x2))
     reference_slope = full.slopes[0]
+    moments = _central_moments(ds, [response, x1, x2])[1]
     try:
-        roots = _roots_from_fit(ds, full)
+        roots = _roots_from_fit(full, moments)
     except ZeroLeadSlope:
-        roots = (fit_simple(ds, x1, x2).slopes[0],)
-    moments = _moments(ds, response, x1, x2)
+        roots = (moments[1][2] / moments[2][2],)
     for root in roots:
         _check_root(_slope_from_moments(moments, root, x1, x2),
                     reference_slope, (root,))
@@ -347,7 +339,7 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
 
     g2, g3 = np.meshgrid(grid2, grid3, indexing="ij")
     numerator, denominator, scale = _rational_parts(
-        _moments(ds, response, x1, x2, x3), g2, g3)
+        _central_moments(ds, [response, x1, x2, x3])[1], g2, g3)
     defined = denominator > DENOMINATOR_FLOOR * scale
     values = numerator[defined] / denominator[defined]
     return GammaSweep(

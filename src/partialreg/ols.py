@@ -23,12 +23,11 @@ from .errors import (
     TooFewRows,
     ZeroVariance,
 )
-from .stats import column_stats, covariance
+from .stats import _central_moments
 
 __all__ = [
     "CONDITION_LIMIT",
     "RegressionFit",
-    "design_matrix",
     "fit",
     "fit_simple",
     "predict",
@@ -73,13 +72,6 @@ class RegressionFit:
                 f"have {list(self.predictors)}") from None
 
 
-def design_matrix(ds: Dataset, predictors: Sequence[str]) -> np.ndarray:
-    """n x (k+1) design whose first column is all ones."""
-    columns = [np.ones(ds.n)]
-    columns.extend(ds.column(p) for p in predictors)
-    return np.column_stack(columns)
-
-
 def fit(ds: Dataset, response: str,
         predictors: Sequence[str]) -> RegressionFit:
     """Least-squares fit of ``response`` on the named predictors.
@@ -103,7 +95,8 @@ def fit(ds: Dataset, response: str,
     SingularDesign
         If the design's condition number exceeds
         :data:`CONDITION_LIMIT` (constant predictor, repeated predictor,
-        collinear predictors, ...).
+        collinear predictors, ...), or if the data overflow the double
+        range.
     """
     preds = tuple(predictors)
     y = ds.column(response)
@@ -120,6 +113,11 @@ def fit(ds: Dataset, response: str,
         tile = np.array([ones[:rows[0].size], *rows]).T  # Fortran order
         tile_rs.append(np.linalg.qr(tile, mode="r"))
     r = np.linalg.qr(np.vstack(tile_rs), mode="r")
+    # LAPACK's svd fails (or prints to stdout) on inf or nan.
+    if not np.all(np.isfinite(r)):
+        raise SingularDesign(
+            f"design for {response!r} ~ {list(preds)} overflows the "
+            f"double range")
     singular = np.linalg.svd(r[:k + 1, :k + 1], compute_uv=False).tolist()
     condition = singular[0] / singular[-1] if singular[-1] else math.inf
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
@@ -148,17 +146,15 @@ def fit_simple(ds: Dataset, response: str, predictor: str) -> RegressionFit:
     ZeroVariance
         If the predictor is constant.
     """
-    x_stats = column_stats(ds, predictor)
-    y = ds.column(response)
-    if x_stats.variance == 0.0:
+    (m, my), ((v, cxy), _) = _central_moments(ds, [predictor, response])
+    if v == 0.0:
         raise ZeroVariance(f"column {predictor!r} is constant")
-    slope = covariance(ds, predictor, response) / x_stats.variance
-    intercept = float(y.mean()) - slope * x_stats.mean
-    resid = y - (intercept + slope * ds.column(predictor))
+    slope = cxy / v
+    intercept = my - slope * m
+    resid = ds.column(response) - (intercept + slope * ds.column(predictor))
     # cond([1, x]) from the eigenvalues of its Gram matrix over n,
     # [[1, m], [m, m² + v]]: their sum t is 1 + m² + v, their product is v,
     # and t² - 4v = (1 - v)² + m²(m² + 2 + 2v) has no cancellation.
-    m, v = x_stats.mean, x_stats.variance
     root = math.hypot(1.0 - v, m * math.sqrt(m * m + 2.0 + 2.0 * v))
     condition = (1.0 + m * m + v + root) / 2.0 / math.sqrt(v)
     return RegressionFit(

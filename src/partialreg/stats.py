@@ -9,7 +9,8 @@ exposes a convention switch.
 
 Computation is two-pass (center first, then average products), which is the
 numerically stable arrangement and makes ``covariance(ds, a, a)`` return the
-variance of ``a`` bit for bit.
+variance of ``a`` bit for bit.  Every moment here, ``fit_simple`` and the
+gamma closed forms read one routine that centers each column once per call.
 """
 
 from __future__ import annotations
@@ -52,13 +53,19 @@ class SummaryStats:
     sd: float
 
 
-def _centered(ds: Dataset, name: str) -> np.ndarray:
-    x = ds.column(name)
-    return x - x.mean()
-
-
-def _mean_product(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean(a * b))
+def _central_moments(ds: Dataset, names: Sequence[str]
+                     ) -> tuple[list[float], list[list[float]]]:
+    """Means and centered cross moments ``cross[i][j] = mean(dev_i * dev_j)``
+    of the named columns, read in name order and each centered once; every
+    pair is computed once and mirrored, so the diagonal holds the variances.
+    """
+    columns = [ds.column(name) for name in names]
+    means = [float(x.mean()) for x in columns]
+    devs = [x - mean for x, mean in zip(columns, means)]
+    cross = np.empty((len(devs), len(devs)))
+    for i, j in zip(*np.triu_indices(len(devs))):
+        cross[i, j] = cross[j, i] = np.mean(devs[i] * devs[j])
+    return means, cross.tolist()
 
 
 def column_stats(ds: Dataset, name: str) -> SummaryStats:
@@ -68,10 +75,8 @@ def column_stats(ds: Dataset, name: str) -> SummaryStats:
     exactly (not merely tiny) for a constant column, which downstream code
     relies on when deciding whether to raise :class:`ZeroVariance`.
     """
-    x = ds.column(name)
-    dev = x - x.mean()
-    variance = _mean_product(dev, dev)
-    return SummaryStats(float(x.mean()), variance, math.sqrt(variance))
+    (mean,), ((variance,),) = _central_moments(ds, [name])
+    return SummaryStats(mean, variance, math.sqrt(variance))
 
 
 def covariance(ds: Dataset, a: str, b: str) -> float:
@@ -80,7 +85,7 @@ def covariance(ds: Dataset, a: str, b: str) -> float:
     Symmetric by construction: the elementwise products commute, so
     ``covariance(ds, a, b) == covariance(ds, b, a)`` exactly.
     """
-    return _mean_product(_centered(ds, a), _centered(ds, b))
+    return _central_moments(ds, [a, b])[1][0][1]
 
 
 def _clamp(value: float, lo: float, hi: float, what: str) -> float:
@@ -121,17 +126,15 @@ def correlation_matrix(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     Raises like :func:`pearson_r`, checking the columns in order.
     """
     names = list(names)
-    devs, sds = [], []
-    for name in names:
-        dev = _centered(ds, name)
-        variance = _mean_product(dev, dev)
-        if variance == 0.0:
+    cross = _central_moments(ds, names)[1]
+    sds = []
+    for i, name in enumerate(names):
+        if cross[i][i] == 0.0:
             raise ZeroVariance(f"column {name!r} is constant")
-        devs.append(dev)
-        sds.append(math.sqrt(variance))
+        sds.append(math.sqrt(cross[i][i]))
     corr = np.eye(len(names))
     for i, j in zip(*np.triu_indices(len(names), 1)):
-        r = _mean_product(devs[i], devs[j]) / (sds[i] * sds[j])
+        r = cross[i][j] / (sds[i] * sds[j])
         corr[i, j] = corr[j, i] = _clamp(
             r, -1.0, 1.0, f"pearson_r({names[i]!r}, {names[j]!r})")
     return corr

@@ -23,12 +23,13 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import (
+    CollinearPredictors,
     IndexOutOfRange,
     LengthMismatch,
     ShapeMismatch,
     SingularTransform,
 )
-from .ols import design_matrix, fit
+from .ols import fit
 
 __all__ = [
     "INVERSE_RESIDUAL_LIMIT",
@@ -84,13 +85,6 @@ class PredictorTransform:
     @property
     def determinant(self) -> float:
         return float(np.linalg.det(self.gamma))
-
-    def full_matrix(self) -> np.ndarray:
-        """(k+1) x (k+1) block matrix fixing the leading constant 1."""
-        full = np.zeros((self.k + 1, self.k + 1))
-        full[0, 0] = 1.0
-        full[1:, 1:] = self.gamma
-        return full
 
     def inverse_gamma(self) -> np.ndarray:
         """Refined inverse of ``gamma`` with its residual checked.
@@ -157,7 +151,7 @@ class ResidualizedVariable:
 def _combine(ds: Dataset, target: str, controls: Sequence[str],
              coefficients: Sequence[float], name: str | None
              ) -> ResidualizedVariable:
-    values = np.array(ds.column(target))
+    values = ds.column(target)
     for control, coeff in zip(controls, coefficients):
         values = values - float(coeff) * ds.column(control)
     return ResidualizedVariable(
@@ -179,6 +173,8 @@ def residualize(ds: Dataset, target: str, controls: Sequence[str],
 
     Raises
     ------
+    CollinearPredictors
+        If ``target`` is among ``controls``.
     SingularDesign
         If the auxiliary fit of ``target`` on ``controls`` is not well
         posed.
@@ -186,6 +182,10 @@ def residualize(ds: Dataset, target: str, controls: Sequence[str],
     controls = list(controls)
     if not controls:
         raise ValueError("need at least one control")
+    ds.require(target, *controls)
+    if target in controls:
+        raise CollinearPredictors(
+            f"target {target!r} is among its own controls {controls}")
     aux = fit(ds, target, controls)
     return _combine(ds, target, controls, aux.slopes, name)
 
@@ -249,20 +249,27 @@ def apply_transform(ds: Dataset, predictors: Sequence[str],
     """Replace the named predictor columns by their transformed versions.
 
     Column ``predictors[j]`` ends up holding
-    ``sum_i gamma[i, j] * old_i``; every other column of ``ds`` passes
-    through untouched and column order is preserved.
+    ``sum_i gamma[i, j] * old_i`` over the nonzero weights; a column whose
+    weights are its own unit vector, and every other column of ``ds``, is
+    the source's array itself.  Column order is preserved.
     """
     predictors = list(predictors)
     if len(predictors) != transform.k:
         raise LengthMismatch(
             f"{len(predictors)} predictors but transform acts on "
             f"{transform.k}")
-    design = design_matrix(ds, predictors)
-    transformed = design @ transform.full_matrix()
-    replacements = {
-        name: transformed[:, j + 1] for j, name in enumerate(predictors)
-    }
-    return ds.replace_columns(replacements)
+    ds.require(*predictors)
+    gamma, unit = transform.gamma, np.eye(transform.k)
+    replacements = {}
+    for j, name in enumerate(predictors):
+        if np.array_equal(gamma[:, j], unit[:, j]):
+            continue
+        first, *rest = np.flatnonzero(gamma[:, j])
+        column = gamma[first, j] * ds.column(predictors[first])
+        for i in rest:
+            column += gamma[i, j] * ds.column(predictors[i])
+        replacements[name] = column
+    return ds._derive(replacements, copy=False)
 
 
 def map_coefficients(coefficients: Sequence[float],

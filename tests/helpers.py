@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from partialreg import Dataset, column_stats, covariance, design_matrix
+from partialreg import Dataset, column_stats, covariance
 
 
 def predictor_names(k: int) -> list[str]:
     return [f"X{i + 1}" for i in range(k)]
+
+
+def design_matrix(ds: Dataset, predictors) -> np.ndarray:
+    """n x (k+1) design whose first column is all ones."""
+    columns = [np.ones(ds.n)]
+    columns.extend(ds.column(p) for p in predictors)
+    return np.column_stack(columns)
 
 
 def random_dataset(rng: np.random.Generator, n: int, k: int, *,

@@ -144,6 +144,15 @@ class TestResidualizeCommand:
         assert len(calls) == d1.n + 1
 
 
+    def test_target_among_controls_gets_an_envelope(self, capsys, d1_csv):
+        code, doc = run_json(capsys, [
+            "residualize", "--input", d1_csv, "--target", "X1",
+            "--controls", "X2,X1"])
+        assert code == EXIT_USAGE
+        assert doc["results"] is None
+        assert doc["diagnostics"]["error"] == "CollinearPredictors"
+
+
 class TestSweepCommand:
     def test_csv_is_default_format(self, capsys, d1_csv, d1):
         code = main(["sweep", "--input", d1_csv, "--response", "Y",
@@ -444,6 +453,38 @@ class TestErrorHandling:
 SWEEP = ["sweep", "--response", "Y", "--x1", "X1", "--x2", "X2"]
 SURFACE = ["surface", "--response", "Y", "--x1", "X1", "--x2", "X2",
            "--x3", "X3"]
+
+
+OVERFLOWING_CSV = ("X1,X2,X3,Y\n1e308,1e308,1,2\n1e308,-1e308,2,3\n"
+                   "3,1,3,4\n4,6,2,1\n")
+
+
+class TestOverflowingData:
+    """Data near the top of the double range stop before LAPACK runs: one
+    envelope and nothing else on file descriptor 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--response", "Y", "--predictors", "X1,X2"],
+        ["residualize", "--target", "X1", "--controls", "X2,X3"],
+        ["sweep", "--response", "Y", "--x1", "X1", "--x2", "X2",
+         "--format", "json", "--gamma-min", "0", "--gamma-max", "1",
+         "--gamma-step", "0.5"],
+        ["surface", "--response", "Y", "--x1", "X1", "--x2", "X2",
+         "--x3", "X3", "--format", "json", "--gamma2-range", "0:1:0.5",
+         "--gamma3-range", "0:1:0.5"],
+        ["report", "--response", "Y", "--x1", "X1", "--controls", "X2,X3"],
+    ], ids=lambda argv: argv[0])
+    def test_singular_design_envelope_on_stdout(self, capfd, tmp_path,
+                                                argv):
+        path = tmp_path / "overflow.csv"
+        path.write_text(OVERFLOWING_CSV)
+        code = main([*argv, "--input", str(path)])
+        out = capfd.readouterr().out
+        assert code == EXIT_USAGE
+        doc = json.loads(out)
+        assert doc["command"] == argv[0]
+        assert doc["diagnostics"]["error"] == "SingularDesign"
+        assert "overflows the double range" in doc["diagnostics"]["message"]
 
 
 class TestArgumentsBeforeData:

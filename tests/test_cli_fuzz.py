@@ -42,6 +42,8 @@ CSV_BYTES = st.one_of(
 )
 OVERSIZED_FIELD = (b"X1,X2,X3,Y\n1,2,3,4\n" + b"1" * 131073
                    + b",2,3,4\n2,3,5,7\n")
+OVERFLOWING = (b"X1,X2,X3,Y\n1e308,1e308,1,2\n1e308,-1e308,2,3\n"
+               b"3,1,3,4\n4,6,2,1\n")
 
 
 def _argv(command, fmt, grid, tolerance):
@@ -78,6 +80,10 @@ def _reject_constant(name):
          data=OVERSIZED_FIELD)
 @example(command="verify", fmt="csv", grid=("0", "1", "0.5"),
          tolerance="1e-8", data=OVERSIZED_FIELD)
+@example(command="residualize", fmt="json", grid=("0", "1", "0.5"),
+         tolerance="1e-8", data=OVERFLOWING)
+@example(command="fit", fmt="csv", grid=("0", "1", "0.5"), tolerance="1e-8",
+         data=OVERFLOWING)
 def test_exit_codes_and_envelopes_hold(tmp_path, capsys, command, fmt, grid,
                                        tolerance, data):
     path = tmp_path / "fuzz.csv"

@@ -7,7 +7,12 @@ import pytest
 
 import oracle
 import partialreg.ols
-from helpers import predictor_names, random_dataset, random_integer_dataset
+from helpers import (
+    design_matrix,
+    predictor_names,
+    random_dataset,
+    random_integer_dataset,
+)
 from partialreg import (
     Dataset,
     MissingPredictorValue,
@@ -15,7 +20,6 @@ from partialreg import (
     TooFewRows,
     UnknownColumn,
     ZeroVariance,
-    design_matrix,
     fit,
     fit_simple,
     predict,
@@ -36,19 +40,17 @@ def assert_close_to_fractions(values, fractions, rel=1e-12):
         assert got == pytest.approx(float(want), rel=rel, abs=1e-15)
 
 
-class TestDesignMatrix:
-    def test_ones_column_first(self, d1):
-        x = design_matrix(d1, ["X1", "X2"])
-        assert x.shape == (6, 3)
-        assert np.array_equal(x[:, 0], np.ones(6))
-        assert np.array_equal(x[:, 1], d1.column("X1"))
-
-    def test_empty_predictor_list(self, d1):
-        x = design_matrix(d1, [])
-        assert x.shape == (6, 1)
+OVERFLOWING_ROWS = {"X1": [1e308, 1e308, 3, 4], "X2": [1e308, -1e308, 1, 6],
+                    "X3": [1, 2, 3, 2], "Y": [2, 3, 4, 1]}
 
 
 class TestFit:
+    def test_overflow_is_a_singular_design(self):
+        ds = Dataset(OVERFLOWING_ROWS)
+        for predictors in (["X1", "X2"], ["X2", "X3"], ["X1", "X2", "X3"]):
+            with pytest.raises(SingularDesign, match="overflows the double"):
+                fit(ds, "Y", predictors)
+
     def test_d1_two_predictors_exact(self, d1):
         fitted = fit(d1, "Y", ["X1", "X2"])
         assert_close_to_fractions(fitted.coefficients(), D1_COEFFICIENTS)

@@ -1,5 +1,6 @@
 """Moments, correlations, and the multiple correlation coefficient."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from partialreg import (
     correlation_matrix,
     covariance,
     fit,
+    fit_simple,
     multiple_correlation,
     pearson_r,
     predict,
@@ -74,6 +76,57 @@ class TestCovariance:
     def test_self_covariance_equals_variance_bitwise(self, d1):
         for name in d1.names:
             assert covariance(d1, name, name) == column_stats(d1, name).variance
+
+
+def two_pass(a, b):
+    """Center each column, then average the products."""
+    return float(np.mean((a - a.mean()) * (b - b.mean())))
+
+
+def scaled_and_offset_datasets(seed, count=40):
+    """Correlated columns with each column's scale and offset drawn apart."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 300))
+        x = rng.normal(size=(n, 3)) @ (np.eye(3) + 0.5 * rng.normal(size=(3, 3)))
+        x = (x * 10.0 ** rng.uniform(-6, 6, 3)
+             + rng.choice([0.0, 1.0], 3) * 10.0 ** rng.uniform(0, 6, 3))
+        yield Dataset({"A": x[:, 0], "B": x[:, 1], "C": x[:, 2]})
+
+
+class TestMomentsAreTwoPass:
+    """Every moment route equals the two-pass formula bit for bit."""
+
+    def test_column_stats_and_covariance(self):
+        for ds in scaled_and_offset_datasets(202):
+            for a in ds.names:
+                x = ds.column(a)
+                stats = column_stats(ds, a)
+                assert stats.mean == float(x.mean())
+                assert stats.variance == two_pass(x, x)
+                assert stats.sd == math.sqrt(two_pass(x, x))
+                for b in ds.names:
+                    assert covariance(ds, a, b) == two_pass(x, ds.column(b))
+
+    def test_correlation_matrix_entries(self):
+        for ds in scaled_and_offset_datasets(203):
+            names = list(ds.names)
+            m = correlation_matrix(ds, names)
+            for i, a in enumerate(names):
+                for j, b in enumerate(names):
+                    x, y = ds.column(a), ds.column(b)
+                    r = two_pass(x, y) / (math.sqrt(two_pass(x, x))
+                                          * math.sqrt(two_pass(y, y)))
+                    want = 1.0 if i == j else min(1.0, max(-1.0, r))
+                    assert m[i, j] == want
+
+    def test_fit_simple_slope_is_cov_over_var(self):
+        for ds in scaled_and_offset_datasets(204):
+            x, y = ds.column("A"), ds.column("B")
+            fitted = fit_simple(ds, "B", "A")
+            slope = two_pass(x, y) / two_pass(x, x)
+            assert fitted.slopes == (slope,)
+            assert fitted.intercept == float(y.mean()) - slope * float(x.mean())
 
 
 class TestPearson:

@@ -7,7 +7,9 @@ import pytest
 
 import oracle
 from helpers import predictor_names, random_dataset
+import partialreg.transform
 from partialreg import (
+    CollinearPredictors,
     Dataset,
     IndexOutOfRange,
     LengthMismatch,
@@ -16,6 +18,7 @@ from partialreg import (
     ShapeMismatch,
     SingularDesign,
     SingularTransform,
+    UnknownColumn,
     apply_transform,
     build_transform,
     fit,
@@ -46,15 +49,6 @@ class TestPredictorTransform:
         t = PredictorTransform([[2.0, 0.0], [0.0, 3.0]])
         assert t.k == 2
         assert t.determinant == pytest.approx(6.0, rel=1e-15)
-
-    def test_full_matrix_blocks(self):
-        t = PredictorTransform([[2.0, 1.0], [0.0, 3.0]])
-        full = t.full_matrix()
-        assert full.shape == (3, 3)
-        assert full[0, 0] == 1.0
-        assert np.array_equal(full[0, 1:], np.zeros(2))
-        assert np.array_equal(full[1:, 0], np.zeros(2))
-        assert np.array_equal(full[1:, 1:], t.gamma)
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeMismatch):
@@ -172,6 +166,21 @@ class TestResidualize:
             residualize(doubled, "X1", ["X2", "X2b"])
 
 
+    @pytest.mark.parametrize("controls", [["X1"], ["X2", "X1"]])
+    def test_target_among_controls_rejected_before_fitting(
+            self, d1, monkeypatch, controls):
+        def no_fit(*args):
+            raise AssertionError("fit was called")
+
+        monkeypatch.setattr(partialreg.transform, "fit", no_fit)
+        with pytest.raises(CollinearPredictors, match="among its own"):
+            residualize(d1, "X1", controls)
+
+    def test_residualize_with_still_takes_the_target(self, d1):
+        res = residualize_with(d1, "X1", ["X1"], [1.0])
+        assert np.array_equal(res.values, np.zeros(d1.n))
+
+
 class TestResidualizeWith:
     def test_subtracts_given_multiples(self, d1):
         res = residualize_with(d1, "X1", ["X2"], [0.5])
@@ -265,6 +274,31 @@ class TestApplyTransform:
         t = PredictorTransform([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(LengthMismatch):
             apply_transform(d1, ["X1"], t)
+
+    def test_unit_columns_are_the_source_arrays(self, d1_extended):
+        t = build_transform(3, 2, [0.3, -0.8])
+        out = apply_transform(d1_extended, ["X1", "X2", "X3"], t)
+        for name in ("X1", "X3", "Y"):
+            assert out.column(name) is d1_extended.column(name)
+        assert out.column("X2") is not d1_extended.column("X2")
+
+    def test_unknown_predictor_rejected_even_if_untouched(self, d1):
+        t = PredictorTransform(np.eye(2))
+        with pytest.raises(UnknownColumn):
+            apply_transform(d1, ["X1", "nope"], t)
+
+    def test_changed_columns_exact_on_integers_with_dyadic_weights(self):
+        rng = np.random.default_rng(12)
+        raw = rng.integers(-1000, 1001, size=(64, 3))
+        names = ["A", "B", "C"]
+        ds = Dataset({name: raw[:, i] for i, name in enumerate(names)})
+        gamma = [[0.5, -0.25, 0.0], [1.75, 1.0, 0.0], [-3.0, 0.125, 1.0]]
+        out = apply_transform(ds, names, PredictorTransform(gamma))
+        for j, name in enumerate(names[:2]):
+            want = [float(sum(Fraction(gamma[i][j]) * int(row[i])
+                              for i in range(3))) for row in raw]
+            assert np.array_equal(out.column(name), want)
+        assert out.column("C") is ds.column("C")
 
 
 class TestMapCoefficients:
