@@ -5,6 +5,15 @@ row of unique non-empty column names, every data cell a finite number,
 every row exactly as wide as the header.  Anything else is rejected with
 a parse error carrying 1-based file coordinates (the header is row 1).
 
+The file is read once, as bytes.  A plain numeric body (only digits,
+signs, ``.``, ``e``, ``E``, commas, spaces and ``\\n``, no empty line and
+no line over :func:`csv.field_size_limit`) is parsed by one numpy call,
+whose result is kept only when it has one row per line, one column per
+header name and no non-finite value.  Every other file, and every plain
+body numpy rejects, goes through the row-by-row reader, which is the only
+judge of what is malformed: results and errors are the same on both
+routes.
+
 Numbers are emitted with 12 significant digits.  That printing is a
 fixpoint: loading an emitted file and emitting it again reproduces the
 bytes, so emitted CSVs round-trip exactly.
@@ -12,9 +21,13 @@ bytes, so emitted CSVs round-trip exactly.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import os
+from io import BytesIO, TextIOWrapper
+
+import numpy as np
 
 from .dataset import Dataset
 from .errors import (
@@ -34,10 +47,14 @@ __all__ = [
     "save_csv",
 ]
 
+_NUMBER_FORMAT = ".12g"  # 12 significant digits, the printing fixpoint
+_PLAIN_BYTES = b"0123456789+-.eE, \n"
+_WRITE_BLOCK_ROWS = 8192
+
 
 def format_number(value: float) -> str:
     """Render a float with 12 significant digits."""
-    return format(float(value), ".12g")
+    return format(float(value), _NUMBER_FORMAT)
 
 
 def round_to_printed(value: float) -> float:
@@ -63,21 +80,16 @@ def load_csv(path: str | os.PathLike) -> Dataset:
         If fewer than two data rows survive parsing.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            rows = list(reader)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise IoError(f"cannot read {os.fspath(path)!r}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{os.fspath(path)!r} is not UTF-8 text ({exc.reason})") from exc
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ParseError(f"line {reader.line_num}: {exc}",
-                         row=reader.line_num) from exc
+    ds = _read_plain(data)
+    return ds if ds is not None else _read_strict(data, path)
 
-    if not rows:
-        raise ParseError(f"{os.fspath(path)!r} is empty")
-    header = [name.strip() for name in rows[0]]
+
+def _header_names(cells: list[str]) -> list[str]:
+    header = [name.strip() for name in cells]
     seen: dict[str, int] = {}
     for j, name in enumerate(header, start=1):
         if not name:
@@ -87,6 +99,55 @@ def load_csv(path: str | os.PathLike) -> Dataset:
                 f"column name {name!r} appears at positions "
                 f"{seen[name]} and {j}", row=1, column=j)
         seen[name] = j
+    return header
+
+
+def _read_plain(data: bytes) -> Dataset | None:
+    """The dataset of a plain numeric body, or None when only the strict
+    reader can tell.
+
+    numpy's parser accepts text ``float`` rejects (``5\\x1c``) and parses
+    a field over the csv size limit, so the byte and length guards here
+    are what keeps an accepted result equal to the strict reader's.
+    """
+    header, _, body = data.removeprefix(codecs.BOM_UTF8).partition(b"\n")
+    limit = csv.field_size_limit()
+    if (not body or b'"' in header or b"\r" in header or len(header) > limit
+            or body.translate(None, _PLAIN_BYTES)):
+        return None
+    lines = body.decode("ascii").removesuffix("\n").split("\n")
+    if "" in lines or max(map(len, lines)) > limit:
+        return None
+    try:
+        cells = next(csv.reader([header.decode("utf-8")]))
+    except UnicodeDecodeError:
+        return None
+    names = _header_names(cells)
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(lines), len(names)) or not np.isfinite(table).all():
+        return None
+    return Dataset({name: table[:, j] for j, name in enumerate(names)})
+
+
+def _read_strict(data: bytes, path: str | os.PathLike) -> Dataset:
+    """Parse ``data`` row by row, raising at the first malformed cell."""
+    reader = csv.reader(TextIOWrapper(BytesIO(data), encoding="utf-8-sig",
+                                      newline=""))
+    try:
+        rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{os.fspath(path)!r} is not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"line {reader.line_num}: {exc}",
+                         row=reader.line_num) from exc
+
+    if not rows:
+        raise ParseError(f"{os.fspath(path)!r} is empty")
+    header = _header_names(rows[0])
 
     columns: dict[str, list[float]] = {name: [] for name in header}
     for i, cells in enumerate(rows[1:], start=2):
@@ -114,11 +175,14 @@ def load_csv(path: str | os.PathLike) -> Dataset:
 
 def to_csv(ds: Dataset) -> str:
     """Serialize a dataset in the same strict format, 12 digits."""
-    lines = [",".join(ds.names)]
-    matrix = [ds.column(name) for name in ds.names]
-    for i in range(ds.n):
-        lines.append(",".join(format_number(col[i]) for col in matrix))
-    return "\n".join(lines) + "\n"
+    columns = [ds.column(name) for name in ds.names]
+    row = ",".join(["%" + _NUMBER_FORMAT] * len(columns)) + "\n"
+    parts = [",".join(ds.names) + "\n"]
+    for start in range(0, ds.n, _WRITE_BLOCK_ROWS):
+        block = np.column_stack(
+            [col[start:start + _WRITE_BLOCK_ROWS] for col in columns])
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def save_csv(ds: Dataset, path: str | os.PathLike) -> None:

@@ -11,6 +11,8 @@ Computation is two-pass (center first, then average products), which is the
 numerically stable arrangement and makes ``covariance(ds, a, a)`` return the
 variance of ``a`` bit for bit.  Every moment here, ``fit_simple`` and the
 gamma closed forms read one routine that centers each column once per call.
+That routine raises :class:`~partialreg.errors.SingularDesign` when a mean or
+a cross moment overflows the double range.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateCofactor, NumericalOvershoot, ZeroVariance
+from .errors import (
+    DegenerateCofactor,
+    NumericalOvershoot,
+    SingularDesign,
+    ZeroVariance,
+)
 
 __all__ = [
     "CLAMP_TOLERANCE",
@@ -60,11 +67,16 @@ def _central_moments(ds: Dataset, names: Sequence[str]
     pair is computed once and mirrored, so the diagonal holds the variances.
     """
     columns = [ds.column(name) for name in names]
-    means = [float(x.mean()) for x in columns]
-    devs = [x - mean for x, mean in zip(columns, means)]
-    cross = np.empty((len(devs), len(devs)))
-    for i, j in zip(*np.triu_indices(len(devs))):
-        cross[i, j] = cross[j, i] = np.mean(devs[i] * devs[j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = [float(x.mean()) for x in columns]
+        devs = [x - mean for x, mean in zip(columns, means)]
+        cross = np.empty((len(devs), len(devs)))
+        for i, j in zip(*np.triu_indices(len(devs))):
+            cross[i, j] = cross[j, i] = np.mean(devs[i] * devs[j])
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(cross))):
+        raise SingularDesign(
+            f"moments of {list(names)}: a mean or cross moment overflows "
+            f"the double range")
     return means, cross.tolist()
 
 

@@ -17,7 +17,7 @@ round trip is what :func:`map_coefficients` is for.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class ResidualizedVariable:
     slope pieces are subtracted; the intercept of the auxiliary regression
     is deliberately left in, so the residualized variable keeps a nonzero
     mean in general.  ``name`` defaults to the target's name with ``*``
-    appended.
+    appended.  ``values`` is stored as a frozen copy of what is passed.
     """
 
     name: str
@@ -132,13 +132,16 @@ class ResidualizedVariable:
     controls: tuple[str, ...]
     control_coefficients: tuple[float, ...]
     values: np.ndarray
+    # False only where the package passes an array no caller holds.
+    _copy: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _copy: bool) -> None:
         if len(self.controls) != len(self.control_coefficients):
             raise LengthMismatch(
                 f"{len(self.controls)} controls but "
                 f"{len(self.control_coefficients)} coefficients")
-        vals = np.array(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64,
+                        copy=True if _copy else None)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -160,6 +163,7 @@ def _combine(ds: Dataset, target: str, controls: Sequence[str],
         controls=tuple(controls),
         control_coefficients=tuple(float(c) for c in coefficients),
         values=values,
+        _copy=False,
     )
 
 

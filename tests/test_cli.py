@@ -486,6 +486,21 @@ class TestOverflowingData:
         assert doc["diagnostics"]["error"] == "SingularDesign"
         assert "overflows the double range" in doc["diagnostics"]["message"]
 
+    @pytest.mark.parametrize("controls", ["X2", "X2,X3"])
+    def test_verify_stops_at_the_moments_without_warnings(
+            self, capfd, tmp_path, controls):
+        path = tmp_path / "overflow.csv"
+        path.write_text(OVERFLOWING_CSV)
+        code = main(["verify", "--response", "Y", "--x1", "X1",
+                     "--controls", controls, "--input", str(path)])
+        captured = capfd.readouterr()
+        assert code == EXIT_USAGE
+        doc = json.loads(captured.out)
+        assert doc["diagnostics"]["error"] == "SingularDesign"
+        message = doc["diagnostics"]["message"]
+        assert "overflows the double range" in message
+        assert captured.err == f"error: {message}\n"
+
 
 class TestArgumentsBeforeData:
     """Bad option values are judged before the input file is opened."""

@@ -24,7 +24,9 @@ GRID = st.one_of(st.tuples(st.integers(-3, 0), st.integers(0, 3),
                  st.tuples(NUMBER, NUMBER, NUMBER))
 TOLERANCE = st.one_of(st.sampled_from(["1e-8", "1e-18"]), NUMBER)
 FINITE = st.one_of(st.integers(-9, 9).map(str), st.floats(-1e3, 1e3).map(repr))
-CELL = st.one_of(FINITE, SPECIAL, st.sampled_from([" ", '"1"', "x,", "\n"]))
+# "1\r" as a row's last cell ends that row with \r\n.
+CELL = st.one_of(FINITE, SPECIAL, st.sampled_from(
+    [" ", '"1"', "x,", "\n", "1_0", "5\x1c", "\u0661", "1\r"]))
 
 
 def _table(cell, min_rows=2, width=4):
@@ -42,6 +44,8 @@ CSV_BYTES = st.one_of(
 )
 OVERSIZED_FIELD = (b"X1,X2,X3,Y\n1,2,3,4\n" + b"1" * 131073
                    + b",2,3,4\n2,3,5,7\n")
+ZERO_PADDED_FIELD = (b"X1,X2,X3,Y\n1,2,3,4\n" + b"0" * 131072
+                     + b"1,2,3,4\n2,3,5,7\n")
 OVERFLOWING = (b"X1,X2,X3,Y\n1e308,1e308,1,2\n1e308,-1e308,2,3\n"
                b"3,1,3,4\n4,6,2,1\n")
 
@@ -80,6 +84,10 @@ def _reject_constant(name):
          data=OVERSIZED_FIELD)
 @example(command="verify", fmt="csv", grid=("0", "1", "0.5"),
          tolerance="1e-8", data=OVERSIZED_FIELD)
+@example(command="fit", fmt="json", grid=("0", "1", "0.5"), tolerance="1e-8",
+         data=ZERO_PADDED_FIELD)
+@example(command="verify", fmt="json", grid=("0", "1", "0.5"),
+         tolerance="1e-8", data=OVERFLOWING)
 @example(command="residualize", fmt="json", grid=("0", "1", "0.5"),
          tolerance="1e-8", data=OVERFLOWING)
 @example(command="fit", fmt="csv", grid=("0", "1", "0.5"), tolerance="1e-8",

@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from partialreg import (
     Dataset,
@@ -20,6 +22,8 @@ from partialreg import (
     save_csv,
     to_csv,
 )
+from partialreg.errors import PartialRegError
+from partialreg.io import _WRITE_BLOCK_ROWS, _read_plain, _read_strict
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -134,12 +138,150 @@ class TestLoadCsv:
         with pytest.raises(TooFewRows):
             load_csv(write(tmp_path, "a,b\n1,2\n"))
 
+    def test_underscore_digits_load_as_python_floats(self, tmp_path):
+        ds = load_csv(write(tmp_path, "a,b\n1_0,2\n3,4\n"))
+        assert ds.column("a").tolist() == [10.0, 3.0]
+
+    def test_file_separator_byte_is_not_a_number(self, tmp_path):
+        # numpy's parser reads "5\x1c" as 5.0; float() does not.
+        with pytest.raises(NonNumericCell) as exc:
+            load_csv(write(tmp_path, "a,b\n1,2\n3,5\x1c\n"))
+        assert (exc.value.row, exc.value.column) == (3, 2)
+
+    def test_oversized_zero_padded_number_raises_parse_error(self, tmp_path):
+        # numpy parses this field as 1.0; csv refuses it for its length.
+        path = write(tmp_path, "a,b\n1,2\n" + "0" * 131072 + "1,3\n4,5\n")
+        with pytest.raises(ParseError, match="field larger") as exc:
+            load_csv(path)
+        assert exc.value.row == 3
+
+    def test_blank_line_mid_file_is_ragged(self, tmp_path):
+        with pytest.raises(RaggedRow) as exc:
+            load_csv(write(tmp_path, "a,b\n1,2\n\n3,4\n"))
+        assert exc.value.row == 3
+
+    def test_crlf_file_loads_as_its_lf_twin(self, tmp_path):
+        text = "a,b\n1,2.5\n-3e-2,4\n"
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert load_csv(crlf) == load_csv(write(tmp_path, text))
+
+
+# Cell texts on both sides of the plain-body guard: numbers either reader
+# takes, numbers only one of them takes, and text neither takes.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PLAIN_CELL = st.one_of(
+    FINITE.map(repr),
+    FINITE.map(lambda v: "%.12g" % v),
+    st.floats(-2.3e-308, 2.3e-308).map(repr),
+    st.tuples(st.sampled_from(["", "-", "+"]), st.text("0123456789", min_size=1,
+                                                      max_size=40),
+              st.sampled_from(["", ".", ".5", "e-3", "E+300", "e500"]))
+    .map("".join),
+    st.integers(-10**30, 10**30).map(str),
+)
+ODD_CELL = st.sampled_from([
+    "1e500", "-1e500", "nan", "infinity", "-inf", "1_0", "5\x1c", "\u0661",
+    "\uff11", '"1"', '"1,2"', "", " ", "\t", "1e", ".", "+", "0x10", "1 2",
+    "0" * 131072 + "1", "1" * 131073])
+PAD = st.sampled_from(["", "", "", " ", "  ", "\t"])
+CELL = st.one_of(PLAIN_CELL, PLAIN_CELL, PLAIN_CELL, ODD_CELL,
+                 st.tuples(PAD, PLAIN_CELL, PAD).map("".join))
+
+
+@st.composite
+def csv_bytes(draw):
+    width = draw(st.integers(1, 4))
+    odd = draw(st.booleans())
+    names = (st.lists(st.sampled_from(["a", "b", " a", ""]), min_size=width,
+                      max_size=width).map(",".join) if odd
+             else st.just(",".join(f"c{j}" for j in range(width))))
+    header = draw(names)
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        cells = draw(st.lists(CELL if odd else PLAIN_CELL,
+                              min_size=width, max_size=width))
+        if odd:
+            cells = draw(st.sampled_from(
+                [cells, cells, cells, cells[:-1], cells + [""], []]))
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"])) if odd else "\n"
+    last = draw(st.sampled_from([newline, ""])) if lines else ""
+    return (header + newline + newline.join(lines) + last).encode()
+
+
+def _error(exc):
+    return (type(exc), str(exc), getattr(exc, "row", None),
+            getattr(exc, "column", None))
+
+
+def _bits(ds):
+    return ds.names, [ds.column(name).view(np.int64).tolist()
+                      for name in ds.names]
+
+
+class TestPlainRoute:
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(data=csv_bytes())
+    @example(data=b"a,b\n1,2\n" + b"0" * 131072 + b"1,3\n4,5\n")
+    @example(data=b"a,b\n1,2\n3,5\x1c\n")
+    @example(data=b"a,a\n1,2\n" + b"1" * 131073 + b",3\n4,5\n")
+    def test_numpy_route_agrees_with_the_strict_reader(self, data):
+        try:
+            strict = _read_strict(data, "fuzz.csv")
+        except (PartialRegError, ValueError) as exc:
+            strict = _error(exc)
+        try:
+            fast = _read_plain(data)
+        except (PartialRegError, ValueError) as exc:
+            fast = _error(exc)
+        if fast is None:
+            return
+        if isinstance(strict, Dataset):
+            assert isinstance(fast, Dataset), (data, fast)
+            assert _bits(fast) == _bits(strict), data
+        else:
+            assert fast == strict, data
+
+    def test_plain_file_takes_the_numpy_route(self, d1):
+        data = to_csv(d1).encode()
+        fast = _read_plain(data)
+        assert fast is not None
+        assert _bits(fast) == _bits(_read_strict(data, "d1.csv"))
+
 
 class TestWriteCsv:
     def test_to_csv_text(self):
         ds = Dataset({"a": [1.0, 2.5], "b": [1 / 3, 4.0]})
         text = to_csv(ds)
         assert text == "a,b\n1,0.333333333333\n2.5,4\n"
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(table=st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(st.one_of(FINITE, st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308])),
+            min_size=k, max_size=k), min_size=2, max_size=12)))
+    def test_to_csv_matches_per_value_format(self, table):
+        ds = Dataset({f"c{j}": column for j, column in enumerate(zip(*table))})
+        want = "".join(",".join(format(v, ".12g") for v in row) + "\n"
+                       for row in table)
+        assert to_csv(ds) == ",".join(ds.names) + "\n" + want
+
+    def test_blocks_cover_every_row_once(self, tmp_path):
+        bits = np.random.default_rng(5).integers(
+            0, 2**64, size=2 * (_WRITE_BLOCK_ROWS + 3), dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = np.where(np.isfinite(values), values, 1.0)
+        ds = Dataset({"a": values[0::2], "b": values[1::2]})
+        text = to_csv(ds)
+        assert text.splitlines()[1:] == [
+            f"{format_number(a)},{format_number(b)}"
+            for a, b in zip(ds.column("a"), ds.column("b"))]
+        path = write(tmp_path, text)
+        assert to_csv(load_csv(path)) == text
 
     def test_save_then_load_roundtrips_at_print_precision(self, tmp_path, d1):
         path = tmp_path / "out.csv"

@@ -146,6 +146,18 @@ class TestResidualize:
         with pytest.raises(ValueError):
             merged.column(res.name)[0] = 1.0
 
+    def test_residualize_keeps_the_array_it_built(self, d1, monkeypatch):
+        passed = []
+        post_init = ResidualizedVariable.__post_init__
+
+        def spy(self, _copy):
+            passed.append(self.values)
+            post_init(self, _copy)
+
+        monkeypatch.setattr(ResidualizedVariable, "__post_init__", spy)
+        res = residualize(d1, "X1", ["X2"])
+        assert np.shares_memory(passed[0], res.values)
+
     def test_merged_into_is_immune_to_the_callers_array(self, d1):
         source = np.arange(6.0)
         res = ResidualizedVariable("Z", "X1", ("X2",), (0.5,), source)
