@@ -11,12 +11,24 @@ from .errors import DuplicateColumn, LengthMismatch, TooFewRows, UnknownColumn
 __all__ = ["Dataset"]
 
 
-def _freeze(values: Iterable[float], name: str, n: int | None,
-            copy: bool = True) -> np.ndarray:
+def _frozen(values) -> np.ndarray:
+    """``values`` itself if it is a read-only float64 array owning its
+    memory, as every array this package freezes is; else a read-only copy.
+    Other iterables are listed first, since numpy reads no generator."""
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    arr = np.array(list(values) if isinstance(values, Iterable)
+                   and not isinstance(values, np.ndarray) else values,
+                   dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _freeze(values: Iterable[float], name: str, n: int | None) -> np.ndarray:
     if not isinstance(name, str) or not name:
         raise ValueError("column names must be non-empty strings")
-    arr = np.array(list(values) if not isinstance(values, np.ndarray) else values,
-                   dtype=np.float64, copy=copy)
+    arr = _frozen(values)
     if arr.ndim != 1:
         raise ValueError(f"column {name!r} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
@@ -24,7 +36,6 @@ def _freeze(values: Iterable[float], name: str, n: int | None,
     if n is not None and arr.size != n:
         raise LengthMismatch(
             f"column {name!r} has {arr.size} rows, expected {n}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -114,14 +125,9 @@ class Dataset:
 
     def with_column(self, name: str, values: Iterable[float]) -> "Dataset":
         """Return a new dataset with ``values`` appended under ``name``."""
-        return self._with_column(name, values, copy=True)
-
-    def _with_column(self, name: str, values: Iterable[float],
-                     copy: bool) -> "Dataset":
-        # ``copy=False`` shares a frozen float64 array this package owns.
         if name in self._columns:
             raise DuplicateColumn(f"column {name!r} already exists")
-        return self._derive({name: values}, copy)
+        return self._derive({name: values})
 
     def replace_columns(self, replacements: Mapping[str, Iterable[float]]
                         ) -> "Dataset":
@@ -130,12 +136,11 @@ class Dataset:
         return self._derive({name: replacements[name] for name in self._names
                              if name in replacements})
 
-    def _derive(self, fresh: Mapping[str, Iterable[float]],
-                copy: bool = True) -> "Dataset":
+    def _derive(self, fresh: Mapping[str, Iterable[float]]) -> "Dataset":
         # Arrays already here are frozen and valid: only ``fresh`` is checked.
         columns = dict(self._columns)
         for name, values in fresh.items():
-            columns[name] = _freeze(values, name, self._n, copy)
+            columns[name] = _freeze(values, name, self._n)
         derived = object.__new__(Dataset)
         derived._names = tuple(columns)
         derived._columns = columns

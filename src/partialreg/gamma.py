@@ -168,7 +168,7 @@ def combined_slope(ds: Dataset, response: str, x1: str,
     if len(controls) != len(gammas):
         raise LengthMismatch(
             f"{len(controls)} controls but {len(gammas)} gammas")
-    column = np.array(ds.column(x1))
+    column = ds.column(x1)
     scale = column_stats(ds, x1).variance
     for control, g in zip(controls, gammas):
         column = column - g * ds.column(control)
@@ -273,6 +273,26 @@ def _check_root(value: float, reference_slope: float, point: tuple) -> None:
             f"conditioned for a trustworthy sweep annotation")
 
 
+def _tabulate(moments: list[list[float]], axis_names: tuple[str, ...],
+              grids: tuple[np.ndarray, ...], reference_slope: float,
+              roots: tuple[tuple[float, ...], ...]) -> GammaSweep:
+    """a1* over the row-major product of ``grids``; points where the
+    combined predictor is constant are skipped and recorded."""
+    axes = np.meshgrid(*grids, indexing="ij")
+    numerator, denominator, scale = _rational_parts(moments, *axes)
+    defined = denominator > DENOMINATOR_FLOOR * scale
+    return GammaSweep(
+        axis_names=axis_names,
+        grids=tuple(tuple(grid.tolist()) for grid in grids),
+        points=tuple(zip(*(axis[defined].tolist() for axis in axes))),
+        values=tuple((numerator[defined] / denominator[defined]).tolist()),
+        reference_slope=reference_slope,
+        roots=roots,
+        undefined_points=tuple(zip(*(axis[~defined].tolist()
+                                     for axis in axes))),
+    )
+
+
 def gamma_sweep(ds: Dataset, response: str, x1: str, x2: str,
                 gammas: Sequence[float]) -> GammaSweep:
     """Tabulate a1*(gamma) on a grid, annotated with its roots.
@@ -294,18 +314,8 @@ def gamma_sweep(ds: Dataset, response: str, x1: str, x2: str,
     for root in roots:
         _check_root(_slope_from_moments(moments, root, x1, x2),
                     reference_slope, (root,))
-    numerator, denominator, scale = _rational_parts(moments, grid)
-    defined = denominator > DENOMINATOR_FLOOR * scale
-    values = numerator[defined] / denominator[defined]
-    return GammaSweep(
-        axis_names=("gamma",),
-        grids=(tuple(grid.tolist()),),
-        points=tuple((g,) for g in grid[defined].tolist()),
-        values=tuple(values.tolist()),
-        reference_slope=reference_slope,
-        roots=tuple((float(r),) for r in roots),
-        undefined_points=tuple((g,) for g in grid[~defined].tolist()),
-    )
+    return _tabulate(moments, ("gamma",), (grid,), reference_slope,
+                     tuple((float(r),) for r in roots))
 
 
 def gamma_surface(ds: Dataset, response: str, x1: str,
@@ -336,19 +346,6 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
     root = (aux.slopes[0], aux.slopes[1])
     _check_root(combined_slope(ds, response, x1, controls, root),
                 reference_slope, root)
-
-    g2, g3 = np.meshgrid(grid2, grid3, indexing="ij")
-    numerator, denominator, scale = _rational_parts(
-        _central_moments(ds, [response, x1, x2, x3])[1], g2, g3)
-    defined = denominator > DENOMINATOR_FLOOR * scale
-    values = numerator[defined] / denominator[defined]
-    return GammaSweep(
-        axis_names=("gamma", "gamma3"),
-        grids=(tuple(grid2.tolist()), tuple(grid3.tolist())),
-        points=tuple(zip(g2[defined].tolist(), g3[defined].tolist())),
-        values=tuple(values.tolist()),
-        reference_slope=reference_slope,
-        roots=(root,),
-        undefined_points=tuple(zip(g2[~defined].tolist(),
-                                   g3[~defined].tolist())),
-    )
+    return _tabulate(_central_moments(ds, [response, x1, x2, x3])[1],
+                     ("gamma", "gamma3"), (grid2, grid3), reference_slope,
+                     (root,))

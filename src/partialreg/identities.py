@@ -243,8 +243,8 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
         If ``tolerance`` is not finite and positive, or no control is given.
     CollinearPredictors
         If any two of ``[x1, *controls]`` are proportional
-        (``|pearson_r| >= 1 - 1e-12``); no report is produced because no
-        claim is well posed in that case.
+        (``|pearson_r| >= 1 - 1e-12``), or if ``response`` is ``x1``; no
+        report is produced because no claim is well posed in that case.
     SingularDesign
         Propagated from an inner fit, annotated with the claim it arose
         in.
@@ -261,6 +261,10 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
             raise CollinearPredictors(
                 f"columns {names[i]!r} and {names[j]!r} are "
                 f"proportional (|r| = {abs(r)!r})")
+    if response == x1:
+        raise CollinearPredictors(
+            f"response {response!r} is also x1; the transformed data "
+            f"would rewrite it")
 
     with _tag_claim(_claim_name(len(controls))):
         first, full, residual, augmented = _residualized_slope(

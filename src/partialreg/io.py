@@ -89,6 +89,8 @@ def load_csv(path: str | os.PathLike) -> Dataset:
 
 
 def _header_names(cells: list[str]) -> list[str]:
+    if not cells:
+        raise ParseError("empty header", row=1)
     header = [name.strip() for name in cells]
     seen: dict[str, int] = {}
     for j, name in enumerate(header, start=1):

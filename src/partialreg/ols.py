@@ -46,9 +46,10 @@ class RegressionFit:
     """Intercept and named slopes of one least-squares fit.
 
     ``slopes`` is ordered like ``predictors``.  ``condition_estimate`` is
-    the condition number of the design matrix (ones column included) and is
-    always below :data:`CONDITION_LIMIT`; ``rss`` is the residual sum of
-    squares, never negative.
+    the condition number of the design matrix (ones column included):
+    :func:`fit` rejects designs above :data:`CONDITION_LIMIT`, while
+    :func:`fit_simple` reports the number without gating on it.  ``rss`` is
+    the residual sum of squares, never negative.
     """
 
     response: str

@@ -17,11 +17,11 @@ round trip is what :func:`map_coefficients` is for.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _frozen
 from .errors import (
     CollinearPredictors,
     IndexOutOfRange,
@@ -61,7 +61,7 @@ class PredictorTransform:
     gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.array(self.gamma, dtype=np.float64)
+        g = _frozen(self.gamma)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ShapeMismatch(f"transform must be square, got {g.shape}")
         if g.shape[0] == 0:
@@ -74,7 +74,6 @@ class PredictorTransform:
                 f"transform is singular to working precision "
                 f"(singular values {singular_values[0]:.3g} .. "
                 f"{singular_values[-1]:.3g})")
-        g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
 
     @property
@@ -124,7 +123,7 @@ class ResidualizedVariable:
     slope pieces are subtracted; the intercept of the auxiliary regression
     is deliberately left in, so the residualized variable keeps a nonzero
     mean in general.  ``name`` defaults to the target's name with ``*``
-    appended.  ``values`` is stored as a frozen copy of what is passed.
+    appended.  ``values`` is frozen like a :class:`Dataset` column.
     """
 
     name: str
@@ -132,23 +131,18 @@ class ResidualizedVariable:
     controls: tuple[str, ...]
     control_coefficients: tuple[float, ...]
     values: np.ndarray
-    # False only where the package passes an array no caller holds.
-    _copy: InitVar[bool] = True
 
-    def __post_init__(self, _copy: bool) -> None:
+    def __post_init__(self) -> None:
         if len(self.controls) != len(self.control_coefficients):
             raise LengthMismatch(
                 f"{len(self.controls)} controls but "
                 f"{len(self.control_coefficients)} coefficients")
-        vals = np.array(self.values, dtype=np.float64,
-                        copy=True if _copy else None)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(self.values))
 
     def merged_into(self, ds: Dataset) -> Dataset:
         """Return ``ds`` with this variable appended as a column: the frozen
         ``values`` array itself, not a copy."""
-        return ds._with_column(self.name, self.values, copy=False)
+        return ds.with_column(self.name, self.values)
 
 
 def _combine(ds: Dataset, target: str, controls: Sequence[str],
@@ -157,13 +151,13 @@ def _combine(ds: Dataset, target: str, controls: Sequence[str],
     values = ds.column(target)
     for control, coeff in zip(controls, coefficients):
         values = values - float(coeff) * ds.column(control)
+    values.setflags(write=False)
     return ResidualizedVariable(
         name=name if name is not None else target + "*",
         target=target,
         controls=tuple(controls),
         control_coefficients=tuple(float(c) for c in coefficients),
         values=values,
-        _copy=False,
     )
 
 
@@ -272,8 +266,9 @@ def apply_transform(ds: Dataset, predictors: Sequence[str],
         column = gamma[first, j] * ds.column(predictors[first])
         for i in rest:
             column += gamma[i, j] * ds.column(predictors[i])
+        column.setflags(write=False)
         replacements[name] = column
-    return ds._derive(replacements, copy=False)
+    return ds.replace_columns(replacements)
 
 
 def map_coefficients(coefficients: Sequence[float],

@@ -309,6 +309,16 @@ class TestVerifyCommand:
         assert all(line.endswith(",true") for line in lines[1:])
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_response_equal_to_x1_is_an_input_error(capsys, d1_csv, command):
+    code, doc = run_json(capsys, [
+        command, "--input", d1_csv, "--response", "X1", "--x1", "X1",
+        "--controls", "X2"])
+    assert code == EXIT_USAGE
+    assert doc["results"] is None
+    assert doc["diagnostics"]["error"] == "CollinearPredictors"
+
+
 class TestReportCommand:
     def test_sections_and_exit_code(self, capsys, d1_csv):
         code = main(["report", "--input", d1_csv, "--response", "Y",
@@ -359,6 +369,17 @@ class TestErrorHandling:
         assert doc["diagnostics"]["error"] == "MissingValue"
         assert doc["diagnostics"]["row"] == 3
         assert doc["diagnostics"]["column"] == 2
+
+    def test_empty_header_line_gets_an_envelope(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"\n")
+        code = main(["fit", "--input", str(path), "--response", "Y",
+                     "--predictors", "X1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        doc = json.loads(captured.out)
+        assert doc["diagnostics"] == {"error": "ParseError",
+                                      "message": "empty header", "row": 1}
 
     def test_byte_order_mark_header_fits(self, capsys, tmp_path):
         path = tmp_path / "bom.csv"

@@ -92,6 +92,8 @@ def _reject_constant(name):
          tolerance="1e-8", data=OVERFLOWING)
 @example(command="fit", fmt="csv", grid=("0", "1", "0.5"), tolerance="1e-8",
          data=OVERFLOWING)
+@example(command="fit", fmt="json", grid=("0", "1", "0.5"), tolerance="1e-8",
+         data=b"\n")
 def test_exit_codes_and_envelopes_hold(tmp_path, capsys, command, fmt, grid,
                                        tolerance, data):
     path = tmp_path / "fuzz.csv"

@@ -7,6 +7,9 @@ from partialreg import (
     Dataset,
     DuplicateColumn,
     LengthMismatch,
+    PredictorTransform,
+    ResidualizedVariable,
+    ShapeMismatch,
     TooFewRows,
     UnknownColumn,
 )
@@ -148,3 +151,79 @@ class TestDerivation:
         assert d1.names == tuple(before)
         for column, values in before.items():
             assert np.array_equal(d1.column(column), values)
+
+
+# The ownership rule: every entry point stores a read-only float64 array,
+# sharing the caller's array only when nothing can still write to it.
+_SIX_ROWS = Dataset({"X1": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                     "X2": [1.0, 3.0, 2.0, 5.0, 4.0, 6.0]})
+_ENTRY_POINTS = {
+    "Dataset": (_SIX_ROWS.column("X2"),
+                lambda v: Dataset({"Z": v}).column("Z")),
+    "with_column": (_SIX_ROWS.column("X2"),
+                    lambda v: _SIX_ROWS.with_column("Z", v).column("Z")),
+    "replace_columns": (_SIX_ROWS.column("X2"), lambda v: _SIX_ROWS
+                        .replace_columns({"X1": v}).column("X1")),
+    "ResidualizedVariable": (_SIX_ROWS.column("X2"), lambda v:
+                             ResidualizedVariable("Z", "X1", ("X2",), (0.5,),
+                                                  v).values),
+    "PredictorTransform": (PredictorTransform([[2.0, 1.0], [1.0, 3.0]]).gamma,
+                           lambda v: PredictorTransform(v).gamma),
+}
+
+
+def _list(base):
+    held = base.tolist()
+    return held, lambda: held.__setitem__(0, held[-1])
+
+
+def _generator(base):
+    return (row for row in base.tolist()), lambda: None
+
+
+def _writable(base):
+    held = base.copy()
+    return held, lambda: held.fill(99.0)
+
+
+def _read_only_view(base):
+    held = base.copy()
+    view = held[...]
+    view.setflags(write=False)
+    return view, lambda: held.fill(99.0)
+
+
+def _float32(base):
+    held = base.astype(np.float32)
+    return held, lambda: held.fill(99.0)
+
+
+def _strided_slice(base):
+    held = np.repeat(base, 2, axis=-1)
+    return held[..., ::2], lambda: held.fill(99.0)
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("make", [_list, _generator, _writable,
+                                      _read_only_view, _float32,
+                                      _strided_slice])
+    def test_the_callers_writes_never_reach_stored_values(self, entry, make):
+        base, store = _ENTRY_POINTS[entry]
+        values, write = make(base)
+        stored = store(values)
+        write()
+        assert stored.dtype == np.float64
+        assert not stored.flags.writeable
+        assert np.array_equal(stored, base)
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_frozen_owned_array_is_stored_as_is(self, entry):
+        base, store = _ENTRY_POINTS[entry]
+        assert store(base) is base
+
+    def test_bad_transform_keeps_its_error(self):
+        with pytest.raises(ShapeMismatch, match=r"square, got \(\)"):
+            PredictorTransform(5)

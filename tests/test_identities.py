@@ -226,6 +226,17 @@ class TestRunVerificationSuite:
         with pytest.raises(CollinearPredictors):
             run_verification_suite(proportional_dataset(), "Y", "X1", ["X2"])
 
+    def test_response_equal_to_x1_rejected_up_front(self, d1_extended):
+        # The transform claim rewrites x1's column, the response with it.
+        with pytest.raises(CollinearPredictors, match="'X1' is also x1"):
+            run_verification_suite(d1_extended, "X1", "X1", ["X2", "X3"])
+
+    @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]])
+    def test_response_equal_to_a_control_passes(self, d1_extended,
+                                                controls):
+        reports = run_verification_suite(d1_extended, "X2", "X1", controls)
+        assert all(r.passed for r in reports)
+
     def test_inner_errors_name_the_claim(self):
         # X3 = X1 + X2 passes every pairwise proportionality gate but makes
         # the three-column design singular, so the first claim's fit blows

@@ -80,6 +80,13 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(write(tmp_path, ""))
 
+    @pytest.mark.parametrize("text", ["\n", "\n1,2\n3,4\n"])
+    def test_empty_header_line_raises_parse_error(self, tmp_path, text):
+        with pytest.raises(ParseError, match="empty header") as exc:
+            load_csv(write(tmp_path, text))
+        assert type(exc.value) is ParseError
+        assert exc.value.row == 1
+
     def test_duplicate_header_positions(self, tmp_path):
         with pytest.raises(DuplicateHeader) as exc:
             load_csv(write(tmp_path, "a,a\n1,2\n3,4\n"))

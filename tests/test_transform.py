@@ -150,9 +150,9 @@ class TestResidualize:
         passed = []
         post_init = ResidualizedVariable.__post_init__
 
-        def spy(self, _copy):
+        def spy(self):
             passed.append(self.values)
-            post_init(self, _copy)
+            post_init(self)
 
         monkeypatch.setattr(ResidualizedVariable, "__post_init__", spy)
         res = residualize(d1, "X1", ["X2"])
