@@ -41,6 +41,7 @@ from .errors import (
 )
 from .ols import RegressionFit, fit
 from .stats import _central_moments, column_stats
+from .transform import _combination
 
 __all__ = [
     "DENOMINATOR_FLOOR",
@@ -168,10 +169,9 @@ def combined_slope(ds: Dataset, response: str, x1: str,
     if len(controls) != len(gammas):
         raise LengthMismatch(
             f"{len(controls)} controls but {len(gammas)} gammas")
-    column = ds.column(x1)
+    column = _combination(ds, [x1, *controls], [1.0, *(-g for g in gammas)])
     scale = column_stats(ds, x1).variance
     for control, g in zip(controls, gammas):
-        column = column - g * ds.column(control)
         scale += (g * g) * column_stats(ds, control).variance
     deviations = column - column.mean()
     denominator = float(np.mean(deviations * deviations))

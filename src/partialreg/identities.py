@@ -43,7 +43,7 @@ from .errors import (
 )
 from .ols import fit, fit_simple
 from .stats import correlation_matrix, multiple_correlation
-from .transform import apply_transform, build_transform, map_coefficients, residualize
+from .transform import build_transform, map_coefficients, residualize
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -285,11 +285,11 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
                                    (on_x3, on_x2), (0.0, 0.0), tolerance))
 
     with _tag_claim("mapped_coefficients_match_refit"):
-        transform = build_transform(len(names), 1,
-                                    residual.control_coefficients)
-        transformed = apply_transform(ds, names, transform)
-        refit = fit(transformed, response, names)
-        mapped = map_coefficients(full.coefficients(), transform)
+        mapped = map_coefficients(full.coefficients(), build_transform(
+            len(names), 1, residual.control_coefficients))
+        # x1 becomes the residual: the bits apply_transform would build.
+        refit = fit(ds.replace_columns({x1: residual.values}),
+                    response, names)
         reports.append(_report("mapped_coefficients_match_refit",
                                mapped, refit.coefficients(), tolerance))
 

@@ -12,6 +12,9 @@ way: the intercept is untouched and the slopes are multiplied by
 ``gamma^-1``.  Fitting on transformed columns and transforming the
 coefficients of the original fit must land on the same numbers; that
 round trip is what :func:`map_coefficients` is for.
+
+One routine builds every combined column, residualized, transformed or fed
+to ``gamma.combined_slope``, so equal weights give equal bits on every route.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _frozen
+from .dataset import Dataset, _freeze, _frozen
 from .errors import (
     CollinearPredictors,
     IndexOutOfRange,
@@ -45,8 +48,21 @@ __all__ = [
 #: Max-norm bound on ``gamma @ inverse - identity`` for a usable inverse.
 INVERSE_RESIDUAL_LIMIT = 1e-12
 
-#: Singular-value ratio below which a transform is rejected outright.
+#: Singular-value ratio below which an equilibrated transform is rejected.
 _SINGULAR_FLOOR = 1e-12
+
+
+def _combination(ds: Dataset, names: Sequence[str],
+                 weights: Sequence[float]) -> np.ndarray:
+    """``sum_i weights[i] * column(names[i])`` over the nonzero weights, in
+    order, as a new frozen array; ``1.0*x + (-c)*y`` rounds as ``x - c*y``."""
+    (w, name), *rest = [(w, name) for name, w in zip(names, weights)
+                        if w != 0.0]
+    column = w * ds.column(name)
+    for w, name in rest:
+        column += w * ds.column(name)
+    column.setflags(write=False)
+    return column
 
 
 @dataclass(frozen=True)
@@ -55,7 +71,7 @@ class PredictorTransform:
 
     ``gamma`` is the k x k block acting on the predictors alone; see the
     module docstring for which way it multiplies.  Nonsingularity is
-    checked at construction.
+    checked at construction, in a way no change of units can move.
     """
 
     gamma: np.ndarray
@@ -68,7 +84,10 @@ class PredictorTransform:
             raise ShapeMismatch("transform must act on at least 1 predictor")
         if not np.all(np.isfinite(g)):
             raise ValueError("transform contains a non-finite value")
-        singular_values = np.linalg.svd(g, compute_uv=False)
+        # Exact power-of-two row, then column, scaling: blind to units.
+        rows = np.ldexp(g, -np.frexp(np.abs(g).max(axis=1, keepdims=True))[1])
+        balanced = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=0))[1])
+        singular_values = np.linalg.svd(balanced, compute_uv=False)
         if singular_values[-1] <= _SINGULAR_FLOOR * singular_values[0]:
             raise SingularTransform(
                 f"transform is singular to working precision "
@@ -122,8 +141,8 @@ class ResidualizedVariable:
     ``values = target - sum_j control_coefficients[j] * controls[j]``.  Only the
     slope pieces are subtracted; the intercept of the auxiliary regression
     is deliberately left in, so the residualized variable keeps a nonzero
-    mean in general.  ``name`` defaults to the target's name with ``*``
-    appended.  ``values`` is frozen like a :class:`Dataset` column.
+    mean in general.  ``name`` defaults to the target's name plus ``*``;
+    ``values`` is checked and frozen like a :class:`Dataset` column.
     """
 
     name: str
@@ -137,28 +156,13 @@ class ResidualizedVariable:
             raise LengthMismatch(
                 f"{len(self.controls)} controls but "
                 f"{len(self.control_coefficients)} coefficients")
-        object.__setattr__(self, "values", _frozen(self.values))
+        object.__setattr__(self, "values",
+                           _freeze(self.values, self.name, None))
 
     def merged_into(self, ds: Dataset) -> Dataset:
         """Return ``ds`` with this variable appended as a column: the frozen
         ``values`` array itself, not a copy."""
         return ds.with_column(self.name, self.values)
-
-
-def _combine(ds: Dataset, target: str, controls: Sequence[str],
-             coefficients: Sequence[float], name: str | None
-             ) -> ResidualizedVariable:
-    values = ds.column(target)
-    for control, coeff in zip(controls, coefficients):
-        values = values - float(coeff) * ds.column(control)
-    values.setflags(write=False)
-    return ResidualizedVariable(
-        name=name if name is not None else target + "*",
-        target=target,
-        controls=tuple(controls),
-        control_coefficients=tuple(float(c) for c in coefficients),
-        values=values,
-    )
 
 
 def residualize(ds: Dataset, target: str, controls: Sequence[str],
@@ -185,7 +189,7 @@ def residualize(ds: Dataset, target: str, controls: Sequence[str],
         raise CollinearPredictors(
             f"target {target!r} is among its own controls {controls}")
     aux = fit(ds, target, controls)
-    return _combine(ds, target, controls, aux.slopes, name)
+    return residualize_with(ds, target, controls, aux.slopes, name)
 
 
 def residualize_with(ds: Dataset, target: str, controls: Sequence[str],
@@ -197,12 +201,14 @@ def residualize_with(ds: Dataset, target: str, controls: Sequence[str],
     coefficients, with :func:`residualize` as the special case that picks
     the fitted ones.
     """
-    controls = list(controls)
-    if len(coefficients) != len(controls):
-        raise LengthMismatch(
-            f"{len(controls)} controls but {len(coefficients)} coefficients")
+    controls = tuple(controls)
     ds.require(target, *controls)
-    return _combine(ds, target, controls, coefficients, name)
+    coefficients = tuple(float(c) for c in coefficients)
+    values = _combination(ds, [target, *controls],
+                          [1.0, *(-c for c in coefficients)])
+    # The constructor checks that the two lengths agree.
+    return ResidualizedVariable(target + "*" if name is None else name,
+                                target, controls, coefficients, values)
 
 
 def build_transform(k: int, target_index: int,
@@ -258,17 +264,10 @@ def apply_transform(ds: Dataset, predictors: Sequence[str],
             f"{transform.k}")
     ds.require(*predictors)
     gamma, unit = transform.gamma, np.eye(transform.k)
-    replacements = {}
-    for j, name in enumerate(predictors):
-        if np.array_equal(gamma[:, j], unit[:, j]):
-            continue
-        first, *rest = np.flatnonzero(gamma[:, j])
-        column = gamma[first, j] * ds.column(predictors[first])
-        for i in rest:
-            column += gamma[i, j] * ds.column(predictors[i])
-        column.setflags(write=False)
-        replacements[name] = column
-    return ds.replace_columns(replacements)
+    return ds.replace_columns({
+        name: _combination(ds, predictors, gamma[:, j])
+        for j, name in enumerate(predictors)
+        if not np.array_equal(gamma[:, j], unit[:, j])})
 
 
 def map_coefficients(coefficients: Sequence[float],

@@ -18,6 +18,16 @@ def design_matrix(ds: Dataset, predictors) -> np.ndarray:
     return np.column_stack(columns)
 
 
+def rescaled_x1_dataset(scale: float) -> Dataset:
+    """Correlated X1, X2 and an unrelated X3, with X1 in units ``scale``
+    times smaller; the design's condition grows only to about 2.4 scale."""
+    rng = np.random.default_rng(5)
+    x2, x3 = rng.normal(size=50), rng.normal(size=50)
+    x1 = x2 + 0.5 * rng.normal(size=50)
+    y = 1.0 + 2.0 * x1 - x2 + 0.3 * x3 + rng.normal(size=50)
+    return Dataset({"X1": x1 * scale, "X2": x2, "X3": x3, "Y": y})
+
+
 def random_dataset(rng: np.random.Generator, n: int, k: int, *,
                    condition_limit: float = 1e6) -> Dataset:
     """Random dataset with correlated predictors and a gated condition.

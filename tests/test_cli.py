@@ -5,6 +5,7 @@ import json
 import pytest
 
 import partialreg.cli
+from helpers import rescaled_x1_dataset
 from partialreg import (
     fit,
     fit_simple,
@@ -276,6 +277,16 @@ class TestVerifyCommand:
         claims = [r["claim"] for r in doc["results"]["reports"]]
         assert "controls_have_zero_slope_on_residual" in claims
         assert "two_predictor_slope_relations" not in claims
+
+    @pytest.mark.parametrize("controls", ["X2", "X2,X3"])
+    def test_passes_after_a_unit_change(self, capsys, tmp_path, controls):
+        path = tmp_path / "rescaled.csv"
+        save_csv(rescaled_x1_dataset(1e7), path)
+        code, doc = run_json(capsys, [
+            "verify", "--input", str(path), "--response", "Y", "--x1", "X1",
+            "--controls", controls])
+        assert code == EXIT_OK
+        assert doc["results"]["passed"] is True
 
     def test_impossible_tolerance_fails_with_exit_one(self, capsys, d1_csv):
         code, doc = run_json(capsys, [

@@ -1,9 +1,11 @@
 """The command line contract under fuzzed option values and CSV bytes.
 
-Every run must exit 0, 1 or 2 (a usage error may raise ``SystemExit(2)``),
-a run that prints JSON must print one parseable envelope, and no other
-exception may escape.  Examples are derandomized and no example database
-is written, so the test is as repeatable as the rest of the suite.
+Every run must exit 0, 1 or 2, a run that prints JSON must print one
+parseable envelope, and no other exception may escape.  Only a usage error,
+an argv that argparse or the grid check rejects, may raise
+``SystemExit(2)``: a bad input behind a valid argv gets the envelope.
+Examples are derandomized and no example database is written, so the test
+is as repeatable as the rest of the suite.
 """
 
 import json
@@ -11,7 +13,8 @@ import json
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from partialreg.cli import EXIT_USAGE, main
+from partialreg import PartialRegError
+from partialreg.cli import EXIT_USAGE, _grids, build_parser, main
 
 SPECIAL = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308",
                            "5e-324", "0", "", "abc", "1e", "0x10"])
@@ -70,6 +73,16 @@ def _argv(command, fmt, grid, tolerance):
                                  else ["--format", fmt])]
 
 
+def _is_usage_error(argv):
+    try:
+        _grids(build_parser().parse_args(argv))
+    except PartialRegError:  # a grid too large, which gets the envelope
+        return False
+    except (SystemExit, ValueError):
+        return True
+    return False
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -102,8 +115,9 @@ def test_exit_codes_and_envelopes_hold(tmp_path, capsys, command, fmt, grid,
     try:
         code = main(argv)
     except SystemExit as exc:
-        capsys.readouterr()
         assert exc.code == EXIT_USAGE, argv
+        assert _is_usage_error(argv), argv
+        capsys.readouterr()
         return
     out = capsys.readouterr().out
     assert code in (0, 1, 2), argv

@@ -5,7 +5,7 @@ import pytest
 
 import partialreg.identities
 import partialreg.transform
-from helpers import predictor_names, random_dataset
+from helpers import predictor_names, random_dataset, rescaled_x1_dataset
 from partialreg import (
     CollinearPredictors,
     Dataset,
@@ -332,6 +332,40 @@ class TestRunVerificationSuite:
         run_verification_suite(d1_extended, "Y", "X1", controls)
         assert len(calls) == fits
         assert merges == ["X1*"]
+
+    def test_refit_reads_the_residual_array_itself(self, monkeypatch,
+                                                   d1_extended):
+        residuals, designs = [], []
+
+        def spy_residualize(*args):
+            residuals.append(residualize(*args))
+            return residuals[-1]
+
+        def spy_fit(ds, response, predictors):
+            designs.append(ds)
+            return fit(ds, response, predictors)
+
+        residualize = partialreg.identities.residualize
+        monkeypatch.setattr(partialreg.identities, "residualize",
+                            spy_residualize)
+        monkeypatch.setattr(partialreg.identities, "fit", spy_fit)
+        run_verification_suite(d1_extended, "Y", "X1", ["X2", "X3"])
+        (residual,) = residuals
+        rewritten = [ds for ds in designs
+                     if ds.column("X1") is not d1_extended.column("X1")]
+        assert len(rewritten) == 1
+        assert rewritten[0].column("X1") is residual.values
+
+    @pytest.mark.parametrize("scale", [1e7, 1e9])
+    @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
+                             ids=["one_control", "two_controls"])
+    def test_passes_after_a_unit_change(self, scale, controls):
+        # The residualizing transform's singular values spread as 1/c**2
+        # while c grows with the units of X1; the gate must not follow.
+        reports = run_verification_suite(rescaled_x1_dataset(scale), "Y",
+                                         "X1", controls)
+        assert all(r.passed for r in reports), [
+            (r.claim, r.abs_diff) for r in reports if not r.passed]
 
     @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
                              ids=["one_control", "two_controls"])

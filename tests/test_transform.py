@@ -21,6 +21,7 @@ from partialreg import (
     UnknownColumn,
     apply_transform,
     build_transform,
+    combined_slope,
     fit,
     fit_simple,
     map_coefficients,
@@ -65,6 +66,22 @@ class TestPredictorTransform:
             PredictorTransform([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularTransform):
             PredictorTransform([[1.0, 1.0], [1.0, 1.0 + 5e-13]])
+
+    @pytest.mark.parametrize("c", [1e7, 1e9, 1e11, 1e-11])
+    def test_residualizing_gamma_passes_the_gate_in_any_units(self, c):
+        # Rescaling one predictor turns c into c times the scale; the
+        # singular-value ratio of [[1, 0], [-c, 1]] is about 1/c**2, but
+        # the transform stays exactly invertible.
+        t = PredictorTransform([[1.0, 0.0], [-c, 1.0]])
+        assert np.array_equal(t.inverse_gamma(), [[1.0, 0.0], [c, 1.0]])
+        build_transform(3, 1, [c, -1.0 / c])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e9])
+    def test_gate_still_rejects_singular_gammas_in_any_units(self, scale):
+        units = np.diag([1.0, scale])
+        for g in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]]):
+            with pytest.raises(SingularTransform):
+                PredictorTransform(np.linalg.inv(units) @ g @ units)
 
     def test_inverse_residual_gate(self):
         t = PredictorTransform([[1.0, 0.5], [0.25, 1.0]])
@@ -166,11 +183,14 @@ class TestResidualize:
         assert merged.column("Z").tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert not np.shares_memory(merged.column("Z"), source)
 
-    def test_merged_into_still_rejects_non_finite_values(self, d1):
-        res = ResidualizedVariable("Z", "X1", ("X2",), (0.5,),
-                                   [0.0, 1.0, float("inf"), 3.0, 4.0, 5.0])
-        with pytest.raises(ValueError, match="'Z' contains a non-finite"):
-            res.merged_into(d1)
+    def test_construction_rejects_non_finite_values(self):
+        for values in ([1.0, float("nan")], [0.0, 1.0, float("inf"), 3.0]):
+            with pytest.raises(ValueError, match="'Z' contains a non-finite"):
+                ResidualizedVariable("Z", "X1", ("X2",), (0.5,), values)
+
+    def test_construction_rejects_a_scalar(self):
+        with pytest.raises(ValueError, match="'Z' must be one-dimensional"):
+            ResidualizedVariable("Z", "X1", ("X2",), (0.5,), 5)
 
     def test_collinear_controls_rejected(self, d1):
         doubled = d1.with_column("X2b", 2.0 * d1.column("X2"))
@@ -244,8 +264,7 @@ class TestBuildTransform:
         transformed = apply_transform(d1_extended, names, t)
         manual = residualize_with(
             d1_extended, "X1", ["X2", "X3"], coefficients)
-        assert np.allclose(transformed.column("X1"), manual.values,
-                           rtol=0, atol=1e-14)
+        assert np.array_equal(transformed.column("X1"), manual.values)
         assert np.array_equal(transformed.column("X2"),
                               d1_extended.column("X2"))
 
@@ -311,6 +330,35 @@ class TestApplyTransform:
                               for i in range(3))) for row in raw]
             assert np.array_equal(out.column(name), want)
         assert out.column("C") is ds.column("C")
+
+
+class TestOneCombinedColumn:
+    def test_every_route_rounds_as_the_direct_arithmetic(self):
+        # x1 - c2*x2 - c3*x3, left to right, is the rounding the combined
+        # column has always had; no route that forms it may drift from it.
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            k = int(rng.integers(2, 5))
+            names = predictor_names(k)
+            ds = random_dataset(rng, n=int(rng.integers(8, 40)), k=k)
+            ds = ds.replace_columns({
+                name: ds.column(name) * 10.0 ** rng.uniform(-5, 6)
+                for name in names})
+            coefficients = rng.normal(size=k - 1) * 10.0 ** rng.uniform(-3, 3)
+            want = ds.column("X1")
+            for name, c in zip(names[1:], coefficients):
+                want = want - c * ds.column(name)
+            residual = residualize_with(ds, "X1", names[1:], coefficients)
+            transformed = apply_transform(
+                ds, names, build_transform(k, 1, coefficients))
+            assert np.array_equal(residual.values, want)
+            assert np.array_equal(transformed.column("X1"), want)
+            deviations = want - want.mean()
+            y = ds.column("Y")
+            slope = (float(np.mean(deviations * (y - y.mean())))
+                     / float(np.mean(deviations * deviations)))
+            assert combined_slope(ds, "Y", "X1", names[1:],
+                                  coefficients) == slope
 
 
 class TestMapCoefficients:
