@@ -23,6 +23,10 @@ not noise.  The checks:
 ``aggregation_recovers_subset_slopes``
     Slopes of the fit on a predictor subset equal the full-model slopes
     contracted with the matrix of predictor-on-subset slopes.
+
+The suite makes three passes over the rows: ``[x1, *controls, y]`` (full and
+subset fits), ``residualize``'s, and ``[x1*, *controls, y]`` (refit and zero
+slopes).  Each identity compares with the moment route or another pass.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
     PartialRegError,
     ShapeMismatch,
 )
-from .ols import fit, fit_simple
+from .ols import _factor, _solve, fit_simple
 from .stats import correlation_matrix, multiple_correlation
 from .transform import build_transform, map_coefficients, residualize
 
@@ -118,14 +122,16 @@ def _claim_name(control_count: int) -> str:
 
 def _residualized_slope(ds: Dataset, response: str, x1: str,
                         controls: list[str], tolerance: float):
-    """The residualized-slope report plus its full fit, residual and data."""
-    full = fit(ds, response, [x1, *controls])
+    """The report plus the R of its union, full fit, residual and data."""
+    union = [x1, *controls, response]
+    r = _factor(ds, union)
+    full = _solve(r, union, len(controls) + 1, range(len(controls) + 1))
     residual = residualize(ds, x1, controls)
     augmented = residual.merged_into(ds)
     simple = fit_simple(augmented, response, residual.name)
     report = _report(_claim_name(len(controls)),
                      full.slopes[0], simple.slopes[0], tolerance)
-    return report, full, residual, augmented
+    return report, r, full, residual, augmented
 
 
 def verify_residualized_slope(ds: Dataset, response: str, x1: str,
@@ -267,9 +273,11 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
             f"would rewrite it")
 
     with _tag_claim(_claim_name(len(controls))):
-        first, full, residual, augmented = _residualized_slope(
+        first, r_raw, full, residual, augmented = _residualized_slope(
             ds, response, x1, controls, tolerance)
     reports = [first]
+    union = [residual.name, *controls, response]
+    r_star = _factor(augmented, union)
 
     with _tag_claim("residual_uncorrelated_with_controls"):
         rho = multiple_correlation(augmented, residual.name, controls)
@@ -279,8 +287,8 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
     if len(controls) == 2:
         x2, x3 = controls
         with _tag_claim("controls_have_zero_slope_on_residual"):
-            on_x3 = fit(augmented, x3, [residual.name, x2]).slopes[0]
-            on_x2 = fit(augmented, x2, [residual.name, x3]).slopes[0]
+            on_x3 = _solve(r_star, union, 2, (0, 1)).slopes[0]
+            on_x2 = _solve(r_star, union, 1, (0, 2)).slopes[0]
             reports.append(_report("controls_have_zero_slope_on_residual",
                                    (on_x3, on_x2), (0.0, 0.0), tolerance))
 
@@ -288,8 +296,7 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
         mapped = map_coefficients(full.coefficients(), build_transform(
             len(names), 1, residual.control_coefficients))
         # x1 becomes the residual: the bits apply_transform would build.
-        refit = fit(ds.replace_columns({x1: residual.values}),
-                    response, names)
+        refit = _solve(r_star, union, len(names), range(len(names)))
         reports.append(_report("mapped_coefficients_match_refit",
                                mapped, refit.coefficients(), tolerance))
 
@@ -312,7 +319,8 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
         matrix = np.vstack([residual.control_coefficients,
                             np.eye(len(controls))])
         aggregated = aggregate_coefficients(full.slopes, matrix)
-        subset = fit(ds, response, controls)
+        subset = _solve(r_raw, [*names, response], len(names),
+                        range(1, len(names)))
         reports.append(_report("aggregation_recovers_subset_slopes",
                                aggregated, subset.slopes, tolerance))
 

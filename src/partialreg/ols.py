@@ -2,7 +2,9 @@
 
 ``fit`` solves least squares through one R-only QR of ``[1, X | y]``, taken
 a tile of rows at a time, rather than by forming X'X, and it refuses
-designs whose condition number says the answer would be noise.
+designs whose condition number says the answer would be noise.  That is
+one tiled pass per column set: ``_factor`` makes the pass and ``_solve``
+fits any subset of its columns from the R of the union alone.
 ``fit_simple`` is the one-predictor closed form, kept as a separate code
 path on purpose: several identities in this package equate outputs of the
 two routes, and that check is only meaningful if they do not share code.
@@ -100,34 +102,51 @@ def fit(ds: Dataset, response: str,
         range.
     """
     preds = tuple(predictors)
-    y = ds.column(response)
-    columns = (*(ds.column(p) for p in preds), y)
-    k = len(preds)
-    if ds.n < k + 1:
-        raise TooFewRows(f"{ds.n} rows cannot determine {k + 1} coefficients")
-    # Q of [1, X | y] never forms; its R holds the design's R in the
-    # leading block, Q'y beside it and the residual norm in the corner.
+    return _solve(_factor(ds, [*preds, response]), [*preds, response],
+                  len(preds), range(len(preds)))
+
+
+def _factor(ds: Dataset, names: Sequence[str]) -> np.ndarray:
+    """R factor of ``[1, *names]``, from one tiled pass over the rows."""
+    columns = [ds.column(name) for name in names]
     ones = np.ones(min(ds.n, _TILE_ROWS))
     tile_rs = []
     for start in range(0, ds.n, _TILE_ROWS):
         rows = [column[start:start + _TILE_ROWS] for column in columns]
         tile = np.array([ones[:rows[0].size], *rows]).T  # Fortran order
         tile_rs.append(np.linalg.qr(tile, mode="r"))
-    r = np.linalg.qr(np.vstack(tile_rs), mode="r")
-    # LAPACK's svd fails (or prints to stdout) on inf or nan.
+    return np.linalg.qr(np.vstack(tile_rs), mode="r")
+
+
+def _solve(r: np.ndarray, names: Sequence[str], response: int,
+           predictors: Sequence[int]) -> RegressionFit:
+    """Fit of ``names[response]`` on ``names[predictors]`` from the R of
+    ``_factor(ds, names)``: X[:, s] = Q R[:, s], so the R of a column subset
+    s is the R of R[:, s], and a leading subset's R is R's leading block."""
+    preds = tuple(names[i] for i in predictors)
+    design = f"{names[response]!r} ~ {list(preds)}"
+    k = len(preds)
+    if r.shape[0] < k + 1:  # r has min(n, len(names) + 1) rows
+        raise TooFewRows(
+            f"{r.shape[0]} rows cannot determine {k + 1} coefficients")
+    selected = [0, *(i + 1 for i in predictors), response + 1]
+    if selected != list(range(k + 2)):
+        r = np.linalg.qr(r[:, selected], mode="r")
+    r = r[:, :k + 2]
+    # The R of [1, X | y] holds the design's R in the leading block, Q'y
+    # beside it and the residual norm in the corner.  LAPACK's svd fails
+    # (or prints to stdout) on inf or nan.
     if not np.all(np.isfinite(r)):
-        raise SingularDesign(
-            f"design for {response!r} ~ {list(preds)} overflows the "
-            f"double range")
+        raise SingularDesign(f"design for {design} overflows the double range")
     singular = np.linalg.svd(r[:k + 1, :k + 1], compute_uv=False).tolist()
     condition = singular[0] / singular[-1] if singular[-1] else math.inf
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise SingularDesign(
-            f"design for {response!r} ~ {list(preds)} has condition "
+            f"design for {design} has condition "
             f"{condition:.3g} (limit {CONDITION_LIMIT:.0e})")
     coef = np.linalg.solve(r[:k + 1, :k + 1], r[:k + 1, k + 1])
     return RegressionFit(
-        response=response,
+        response=names[response],
         predictors=preds,
         intercept=float(coef[0]),
         slopes=tuple(float(c) for c in coef[1:]),
@@ -152,7 +171,9 @@ def fit_simple(ds: Dataset, response: str, predictor: str) -> RegressionFit:
         raise ZeroVariance(f"column {predictor!r} is constant")
     slope = cxy / v
     intercept = my - slope * m
-    resid = ds.column(response) - (intercept + slope * ds.column(predictor))
+    resid = slope * ds.column(predictor)  # y - (intercept + slope * x)
+    resid += intercept
+    np.subtract(ds.column(response), resid, out=resid)
     # cond([1, x]) from the eigenvalues of its Gram matrix over n,
     # [[1, m], [m, m² + v]]: their sum t is 1 + m² + v, their product is v,
     # and t² - 4v = (1 - v)² + m²(m² + 2 + 2v) has no cancellation.

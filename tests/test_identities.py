@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import partialreg.identities
-import partialreg.transform
+import partialreg.ols
 from helpers import predictor_names, random_dataset, rescaled_x1_dataset
 from partialreg import (
     CollinearPredictors,
@@ -23,6 +23,7 @@ from partialreg import (
     run_verification_suite,
     verify_residualized_slope,
 )
+from partialreg.ols import _TILE_ROWS
 
 SUITE_CLAIMS_ONE_CONTROL = [
     "residualized_slope_one_control",
@@ -307,54 +308,84 @@ class TestRunVerificationSuite:
         assert (exc.value.row, exc.value.column) == (3, 2)
         assert str(exc.value) == "while checking c: bad"
 
-    @pytest.mark.parametrize("controls, fits", [
-        (["X2"], 4),
-        (["X2", "X3"], 6),
+    @staticmethod
+    def spy_passes(monkeypatch, passes):
+        """Record ``(names, ds)`` of every tiled pass over the rows."""
+        factor = partialreg.ols._factor
+
+        def counting_factor(ds, names):
+            passes.append((list(names), ds))
+            return factor(ds, names)
+
+        monkeypatch.setattr(partialreg.ols, "_factor", counting_factor)
+        monkeypatch.setattr(partialreg.identities, "_factor",
+                            counting_factor)
+
+    @pytest.mark.parametrize("controls, designs", [
+        (["X2"], [["X1", "X2", "Y"], ["X2", "X1"], ["X1*", "X2", "Y"]]),
+        (["X2", "X3"], [["X1", "X2", "X3", "Y"], ["X2", "X3", "X1"],
+                        ["X1*", "X2", "X3", "Y"]]),
     ], ids=["one_control", "two_controls"])
     def test_fits_each_design_once(self, monkeypatch, d1_extended,
-                                   controls, fits):
-        calls = []
+                                   controls, designs):
+        passes = []
         merges = []
-
-        def counting_fit(ds, response, predictors):
-            calls.append(predictors)
-            return fit(ds, response, predictors)
 
         def counting_merge(residual, ds):
             merges.append(residual.name)
             return merged_into(residual, ds)
 
         merged_into = ResidualizedVariable.merged_into
-        monkeypatch.setattr(partialreg.identities, "fit", counting_fit)
-        monkeypatch.setattr(partialreg.transform, "fit", counting_fit)
+        self.spy_passes(monkeypatch, passes)
         monkeypatch.setattr(ResidualizedVariable, "merged_into",
                             counting_merge)
         run_verification_suite(d1_extended, "Y", "X1", controls)
-        assert len(calls) == fits
+        assert [names for names, _ in passes] == designs
         assert merges == ["X1*"]
 
     def test_refit_reads_the_residual_array_itself(self, monkeypatch,
                                                    d1_extended):
-        residuals, designs = [], []
+        residuals, passes = [], []
 
         def spy_residualize(*args):
             residuals.append(residualize(*args))
             return residuals[-1]
 
-        def spy_fit(ds, response, predictors):
-            designs.append(ds)
-            return fit(ds, response, predictors)
-
         residualize = partialreg.identities.residualize
         monkeypatch.setattr(partialreg.identities, "residualize",
                             spy_residualize)
-        monkeypatch.setattr(partialreg.identities, "fit", spy_fit)
+        self.spy_passes(monkeypatch, passes)
         run_verification_suite(d1_extended, "Y", "X1", ["X2", "X3"])
         (residual,) = residuals
-        rewritten = [ds for ds in designs
-                     if ds.column("X1") is not d1_extended.column("X1")]
-        assert len(rewritten) == 1
-        assert rewritten[0].column("X1") is residual.values
+        assert len(passes) == 3
+        for _, ds in passes[:2]:
+            assert ds.column("X1") is d1_extended.column("X1")
+        names, ds = passes[2]
+        assert ds.column(names[0]) is residual.values
+
+    @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
+                             ids=["one_control", "two_controls"])
+    def test_moment_route_catches_a_fault_in_the_shared_pass(
+            self, monkeypatch, controls):
+        # The first claim compares a shared pass with fit_simple's moments,
+        # so it must notice a pass that drops the final partial tile.
+        factor = partialreg.ols._factor
+
+        def without_last_tile(ds, names):
+            keep = ds.n - ds.n % _TILE_ROWS
+            return factor(Dataset({name: ds.column(name)[:keep]
+                                   for name in names}), names)
+
+        ds = random_dataset(np.random.default_rng(41), n=_TILE_ROWS + 600,
+                            k=3)
+        assert all(r.passed for r in run_verification_suite(
+            ds, "Y", "X1", controls))
+        monkeypatch.setattr(partialreg.ols, "_factor", without_last_tile)
+        monkeypatch.setattr(partialreg.identities, "_factor",
+                            without_last_tile)
+        first = run_verification_suite(ds, "Y", "X1", controls)[0]
+        assert first.claim.startswith("residualized_slope_")
+        assert not first.passed
 
     @pytest.mark.parametrize("scale", [1e7, 1e9])
     @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],

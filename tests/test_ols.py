@@ -23,9 +23,10 @@ from partialreg import (
     fit,
     fit_simple,
     predict,
+    residualize,
     residuals,
 )
-from partialreg.ols import _TILE_ROWS, CONDITION_LIMIT
+from partialreg.ols import _TILE_ROWS, CONDITION_LIMIT, _factor, _solve
 
 D1_COEFFICIENTS = (Fraction(4, 33), Fraction(15, 11), Fraction(4, 11))
 D1_SIMPLE_X1 = (Fraction(4, 15), Fraction(59, 35))
@@ -192,6 +193,15 @@ class TestFitSimple:
             got = fit_simple(ds, "Y", "X1").condition_estimate
             assert abs(got - want) <= 1e-13 * max(1.0, want) * want
 
+    def test_rss_is_the_residual_expression(self):
+        rng = np.random.default_rng(73)
+        for _ in range(50):
+            ds = random_dataset(rng, n=int(rng.integers(3, 3000)), k=1)
+            fitted = fit_simple(ds, "Y", "X1")
+            x, y = ds.column("X1"), ds.column("Y")
+            resid = y - (fitted.intercept + fitted.slopes[0] * x)
+            assert fitted.rss == float(resid @ resid)
+
     def test_constant_predictor_raises_zero_variance(self):
         ds = Dataset({"a": [5.0, 5.0, 5.0], "y": [1.0, 2.0, 3.0]})
         with pytest.raises(ZeroVariance):
@@ -282,6 +292,90 @@ class TestRowTiles:
         assert [rows for rows, _ in qr_shapes[:-1]] == [_TILE_ROWS] * 3 + [5]
         assert qr_shapes[-1] == (4 * (k + 2), k + 2)
         assert svd_shapes == [(k + 1, k + 1)]
+
+
+def assert_matches_oracle(fitted, response, predictors):
+    want = oracle.fit_coefficients(response, predictors)
+    for got, ref in zip(fitted.coefficients(), want, strict=True):
+        assert abs(got - float(ref)) <= 1e-10 * max(1.0, abs(float(ref)))
+
+
+class TestSharedFactor:
+    """Fits solved from the R of one pass over a union of columns."""
+
+    UNION = ["X1", "X2", "X3", "Y"]
+
+    @pytest.mark.parametrize("n", [5, 60, _TILE_ROWS + 3])
+    def test_full_selection_is_fit(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(4):
+            ds = random_dataset(rng, n=n, k=k)
+            names = [*predictor_names(k), "Y"]
+            got = _solve(_factor(ds, names), names, k, range(k))
+            assert got == fit(ds, "Y", predictor_names(k))
+
+    def test_subsets_match_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            ds, exact = random_integer_dataset(rng, n=int(rng.integers(6, 16)),
+                                               k=3)
+            subset = _solve(_factor(ds, self.UNION), self.UNION, 3, (1, 2))
+            assert subset.predictors == ("X2", "X3")
+            assert_matches_oracle(subset, exact["Y"],
+                                  [exact["X2"], exact["X3"]])
+            star = residualize(ds, "X1", ["X2", "X3"])
+            union = [star.name, "X2", "X3", "Y"]
+            on_x2 = _solve(_factor(star.merged_into(ds), union), union, 1,
+                           (0, 2))
+            assert (on_x2.response, on_x2.predictors) == ("X2",
+                                                          ("X1*", "X3"))
+            assert_matches_oracle(on_x2, ds.column("X2"),
+                                  [star.values, ds.column("X3")])
+
+    def test_fewer_rows_than_union_columns(self):
+        ds = Dataset({"X1": [1, 4, 2], "X2": [3, -1, 2], "X3": [0, 2, 5],
+                      "Y": [2, 7, -3]})
+        r = _factor(ds, self.UNION)
+        assert r.shape == (3, 5)
+        exact = _solve(r, self.UNION, 3, (1, 2))
+        assert exact.rss == 0.0
+        assert_matches_oracle(exact, [2, 7, -3], [[3, -1, 2], [0, 2, 5]])
+        with pytest.raises(TooFewRows, match="3 rows cannot determine 4"):
+            _solve(r, self.UNION, 3, range(3))
+        two = Dataset({name: ds.column(name)[:2] for name in self.UNION})
+        line = _solve(_factor(two, self.UNION), self.UNION, 3, (1,))
+        assert line.rss == 0.0
+        assert_matches_oracle(line, [2, 7], [[3, -1]])
+
+    def test_exactly_determined_union(self):
+        ds = random_dataset(np.random.default_rng(3), n=4, k=3)
+        r = _factor(ds, self.UNION)
+        assert _solve(r, self.UNION, 3, range(3)).rss == 0.0
+        assert_matches_oracle(_solve(r, self.UNION, 3, (0, 2)),
+                              ds.column("Y"),
+                              [ds.column("X1"), ds.column("X3")])
+
+    def test_rank_deficient_union(self):
+        ds, exact = random_integer_dataset(np.random.default_rng(4), n=12,
+                                           k=2)
+        ds = ds.with_column("X2b", 2.0 * ds.column("X2"))
+        union = ["X1", "X2", "X2b", "Y"]
+        r = _factor(ds, union)
+        assert_matches_oracle(_solve(r, union, 3, (0, 1)), exact["Y"],
+                              [exact["X1"], exact["X2"]])
+        with pytest.raises(SingularDesign,
+                           match=r"'Y' ~ \['X2', 'X2b'\] has condition"):
+            _solve(r, union, 3, (1, 2))
+
+    def test_unknown_column_before_any_pass(self, monkeypatch, d1):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pass began before the columns resolved")
+
+        monkeypatch.setattr(partialreg.ols.np.linalg, "qr", forbidden)
+        with pytest.raises(UnknownColumn):
+            _factor(d1, ["X1", "nope", "Y"])
+        with pytest.raises(UnknownColumn):
+            fit(d1, "Y", ["X1", "nope"])
 
 
 class TestPredictAndResiduals:
