@@ -17,7 +17,7 @@ Subcommands, all reading one CSV dataset via ``--input``:
     Run every applicable coefficient-identity check; exits 1 if any
     claim fails.
 ``report``
-    Human-readable summary of the fits, roots, and checks.
+    Human-readable summary of the suite ``verify`` runs: fits, roots, checks.
 
 Output is a single JSON object ``{command, inputs, results, diagnostics}``
 or CSV via ``--format``; every number is printed with 12 significant
@@ -40,15 +40,17 @@ from pathlib import Path
 
 from .dataset import Dataset
 from .errors import GridTooLarge, ParseError, PartialRegError, ZeroLeadSlope
-from .gamma import gamma_roots, gamma_surface, gamma_sweep, grid_points
+from .gamma import _roots_from_fit, gamma_surface, gamma_sweep, grid_points
 from .identities import (
     DEFAULT_TOLERANCE,
     VerificationReport,
     _checked_tolerance,
+    _suite,
     run_verification_suite,
 )
 from .io import format_number, load_csv, round_to_printed, to_csv
 from .ols import fit, fit_simple
+from .stats import _central_moments
 from .transform import residualize
 
 __all__ = ["run", "main"]
@@ -292,12 +294,13 @@ def _cmd_verify(args: argparse.Namespace, ds: Dataset):
 def _cmd_report(args: argparse.Namespace, ds: Dataset):
     response, x1, controls = args.response, args.x1, args.controls
     names = [x1, *controls]
+    reports, full, residual = _suite(ds, response, x1, controls,
+                                     args.tolerance)
     lines: list[str] = []
     lines.append(f"dataset {args.input_path}: n={ds.n}, "
                  f"columns {', '.join(ds.names)}")
     lines.append("")
 
-    full = fit(ds, response, names)
     lines.append(f"fit {response} ~ {' + '.join(names)}")
     width = max(len(n) for n in ("intercept", *names))
     lines.append(f"  {'intercept':<{width}}  "
@@ -316,7 +319,6 @@ def _cmd_report(args: argparse.Namespace, ds: Dataset):
                      f"{format_number(simple.slopes[0])}")
     lines.append("")
 
-    residual = residualize(ds, x1, controls)
     pieces = " - ".join(
         f"{format_number(c)}*{name}"
         for name, c in zip(residual.controls,
@@ -324,7 +326,8 @@ def _cmd_report(args: argparse.Namespace, ds: Dataset):
     lines.append(f"residualized predictor {residual.name} = {x1} - {pieces}")
     if len(controls) == 1:
         try:
-            roots = gamma_roots(ds, response, x1, controls[0])
+            roots = _roots_from_fit(full, _central_moments(
+                ds, [response, x1, controls[0]])[1])
             shown = ", ".join(format_number(r) for r in roots)
             lines.append(f"gammas where the combined-predictor slope "
                          f"equals the multiple slope: {shown}")
@@ -335,8 +338,6 @@ def _cmd_report(args: argparse.Namespace, ds: Dataset):
                      f"{format_number(full.slopes[0])}")
     lines.append("")
 
-    reports = run_verification_suite(ds, response, x1, controls,
-                                     args.tolerance)
     lines.append(f"verification (tolerance {format_number(args.tolerance)})")
     claim_width = max(len(r.claim) for r in reports)
     for r in reports:

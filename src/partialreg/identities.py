@@ -126,7 +126,10 @@ def _residualized_slope(ds: Dataset, response: str, x1: str,
     union = [x1, *controls, response]
     r = _factor(ds, union)
     full = _solve(r, union, len(controls) + 1, range(len(controls) + 1))
-    residual = residualize(ds, x1, controls)
+    name = x1 + "*"
+    while name in ds:  # e.g. residualize's own CSV already holds x1*
+        name += "*"
+    residual = residualize(ds, x1, controls, name)
     augmented = residual.merged_into(ds)
     simple = fit_simple(augmented, response, residual.name)
     report = _report(_claim_name(len(controls)),
@@ -255,6 +258,12 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
         Propagated from an inner fit, annotated with the claim it arose
         in.
     """
+    return _suite(ds, response, x1, controls, tolerance)[0]
+
+
+def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
+           tolerance: float):
+    """The suite's reports, its fit on ``[x1, *controls]`` and x1*."""
     _checked_tolerance(tolerance)
     controls = list(controls)
     if not controls:
@@ -324,4 +333,4 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
         reports.append(_report("aggregation_recovers_subset_slopes",
                                aggregated, subset.slopes, tolerance))
 
-    return reports
+    return reports, full, residual

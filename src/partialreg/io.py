@@ -25,7 +25,7 @@ import codecs
 import csv
 import math
 import os
-from io import BytesIO, TextIOWrapper
+from io import BytesIO, StringIO, TextIOWrapper
 
 import numpy as np
 
@@ -179,7 +179,9 @@ def to_csv(ds: Dataset) -> str:
     """Serialize a dataset in the same strict format, 12 digits."""
     columns = [ds.column(name) for name in ds.names]
     row = ",".join(["%" + _NUMBER_FORMAT] * len(columns)) + "\n"
-    parts = [",".join(ds.names) + "\n"]
+    header = StringIO()  # "\r\n" makes it quote names holding \r or \n
+    csv.writer(header, lineterminator="\r\n").writerow(ds.names)
+    parts = [header.getvalue()[:-2] + "\n"]
     for start in range(0, ds.n, _WRITE_BLOCK_ROWS):
         block = np.column_stack(
             [col[start:start + _WRITE_BLOCK_ROWS] for col in columns])

@@ -2,13 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import partialreg.cli
-from helpers import rescaled_x1_dataset
+import partialreg.identities
+import partialreg.ols
+from helpers import random_dataset, rescaled_x1_dataset
 from partialreg import (
+    ZeroLeadSlope,
     fit,
     fit_simple,
+    format_number,
     gamma_roots,
     load_csv,
     residualize,
@@ -358,6 +363,129 @@ class TestReportCommand:
         assert code == EXIT_OK
         assert capsys.readouterr().out == ""
         assert "overall: pass" in out_path.read_text()
+
+    @pytest.mark.parametrize("controls", ["X2", "X2,X3"])
+    def test_makes_the_passes_verify_makes(self, monkeypatch, capsys,
+                                           d1_extended_csv, controls):
+        designs = []
+        factor = partialreg.ols._factor
+
+        def counting_factor(ds, names):
+            designs.append(list(names))
+            return factor(ds, names)
+
+        monkeypatch.setattr(partialreg.ols, "_factor", counting_factor)
+        monkeypatch.setattr(partialreg.identities, "_factor",
+                            counting_factor)
+        argv = ["--input", d1_extended_csv, "--response", "Y", "--x1", "X1",
+                "--controls", controls]
+        assert main(["verify", *argv]) == EXIT_OK
+        verify_designs, designs[:] = designs[:], []
+        assert main(["report", *argv]) == EXIT_OK
+        capsys.readouterr()
+        assert len(verify_designs) == 3
+        assert designs == verify_designs
+
+    @pytest.mark.parametrize("argv, data", [
+        (["--x1", "X1", "--controls", "P"], "columns"),
+        (["--x1", "X1", "--controls", "C"], "columns"),
+        (["--x1", "X1", "--controls", "X2,S"], "columns"),
+        (["--x1", "X1", "--controls", "X2,X2"], "columns"),
+        (["--x1", "X1", "--controls", "X1,X2"], "columns"),
+        (["--x1", "Y", "--controls", "X2"], "columns"),
+        (["--x1", "X1", "--controls", "Z"], "columns"),
+        (["--x1", "X1", "--controls", "X2"], "overflowing"),
+        (["--x1", "X1", "--controls", "X2,X3"], "overflowing"),
+    ], ids=["proportional", "constant", "three_way_collinear",
+            "duplicate_controls", "x1_among_controls", "response_is_x1",
+            "unknown_column", "overflow_one_control",
+            "overflow_two_controls"])
+    def test_rejects_bad_input_with_verifys_envelope(self, capsys, tmp_path,
+                                                     argv, data):
+        path = tmp_path / "bad.csv"
+        if data == "columns":  # P = 2*X1, C constant, S = X1 + X2
+            path.write_text("X1,X2,P,C,S,Y\n1,1,2,3,2,2\n2,3,4,3,5,4\n"
+                            "3,2,6,3,5,5\n4,5,8,3,9,7\n5,4,10,3,9,8\n")
+        else:
+            path.write_text(OVERFLOWING_CSV)
+        envelopes = {}
+        for command in ("verify", "report"):
+            code = main([command, "--input", str(path), "--response", "Y",
+                         *argv])
+            captured = capsys.readouterr()
+            assert code == EXIT_USAGE
+            doc = json.loads(captured.out)
+            assert doc.pop("command") == command
+            envelopes[command] = (doc, captured.err)
+        assert envelopes["report"] == envelopes["verify"]
+
+    @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
+                             ids=["one_control", "two_controls"])
+    def test_prints_the_public_results(self, capsys, tmp_path, d1,
+                                       d1_extended, controls):
+        rng = np.random.default_rng(17)
+        datasets = [d1_extended] + [
+            random_dataset(rng, n=int(rng.integers(8, 60)), k=3)
+            for _ in range(10)]
+        if controls == ["X2"]:
+            datasets.append(d1)
+        path = tmp_path / "data.csv"
+        names = ["X1", *controls]
+        for ds in datasets:
+            save_csv(ds, path)
+            ds = load_csv(path)
+            assert main(["report", "--input", str(path), "--response", "Y",
+                         "--x1", "X1", "--controls", ",".join(controls)]
+                        ) == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            full = fit(ds, "Y", names)
+            start = lines.index(f"fit Y ~ {' + '.join(names)}") + 1
+            assert [line.split() for line in
+                    lines[start:start + len(names) + 2]] == [
+                ["intercept", format_number(full.intercept)],
+                *([name, format_number(slope)]
+                  for name, slope in zip(names, full.slopes)),
+                ["condition", "estimate",
+                 format_number(full.condition_estimate) + ",", "rss",
+                 format_number(full.rss)]]
+            residual = residualize(ds, "X1", controls)
+            pieces = " - ".join(
+                f"{format_number(c)}*{name}"
+                for name, c in zip(controls, residual.control_coefficients))
+            assert f"residualized predictor X1* = X1 - {pieces}" in lines
+            if len(controls) == 1:
+                roots = gamma_roots(ds, "Y", "X1", "X2")
+                assert ("gammas where the combined-predictor slope equals "
+                        "the multiple slope: "
+                        + ", ".join(map(format_number, roots))) in lines
+
+    def test_zero_lead_slope_gets_its_own_line(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"  # Y = 2*X2 + 1, so b1 is 0
+        path.write_text("X1,X2,Y\n1,1,3\n2,3,7\n3,2,5\n4,5,11\n5,4,9\n")
+        with pytest.raises(ZeroLeadSlope):
+            gamma_roots(load_csv(path), "Y", "X1", "X2")
+        assert main(["report", "--input", str(path), "--response", "Y",
+                     "--x1", "X1", "--controls", "X2"]) == EXIT_OK
+        assert ("multiple slope on x1 is ~0; only gamma = fitted c12 "
+                "reproduces it") in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("controls", ["X2", "X2,X3"])
+    def test_runs_on_residualize_csv_output(self, capsys, tmp_path,
+                                            d1_extended_csv, controls):
+        path = tmp_path / "residualized.csv"
+        assert main(["residualize", "--input", d1_extended_csv,
+                     "--target", "X1", "--controls", controls,
+                     "--format", "csv", "--output", str(path)]) == EXIT_OK
+        assert "X1*" in load_csv(path)
+        argv = ["--input", str(path), "--response", "Y", "--x1", "X1",
+                "--controls", controls]
+        code, doc = run_json(capsys, ["verify", *argv])
+        assert code == EXIT_OK
+        assert doc["results"]["passed"] is True
+        assert main(["report", *argv]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "residualized predictor X1** = X1 -" in text
+        assert "overall: pass" in text
 
 
 class TestErrorHandling:

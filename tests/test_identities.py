@@ -20,6 +20,7 @@ from partialreg import (
     fit,
     fit_simple,
     pearson_r,
+    residualize,
     run_verification_suite,
     verify_residualized_slope,
 )
@@ -397,6 +398,23 @@ class TestRunVerificationSuite:
                                          "X1", controls)
         assert all(r.passed for r in reports), [
             (r.claim, r.abs_diff) for r in reports if not r.passed]
+
+    @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
+                             ids=["one_control", "two_controls"])
+    def test_data_already_holding_x1_star(self, d1_extended, controls):
+        # residualize's own CSV output holds X1*: the suite's residual
+        # takes the next free name and every report keeps its bits.
+        rng = np.random.default_rng(37)
+        for ds in [d1_extended, *(random_dataset(rng, n=30, k=3)
+                                  for _ in range(4))]:
+            merged = residualize(ds, "X1", controls).merged_into(ds)
+            twice = residualize(ds, "X1", controls, "X1**").merged_into(
+                merged)
+            for held in (merged, twice):
+                assert run_verification_suite(held, "Y", "X1", controls) \
+                    == run_verification_suite(ds, "Y", "X1", controls)
+                assert verify_residualized_slope(held, "Y", "X1", controls) \
+                    == verify_residualized_slope(ds, "Y", "X1", controls)
 
     @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
                              ids=["one_control", "two_controls"])

@@ -277,6 +277,21 @@ class TestWriteCsv:
                        for row in table)
         assert to_csv(ds) == ",".join(ds.names) + "\n" + want
 
+    @pytest.mark.parametrize("header, name", [
+        ('"a,b",c,d', "a,b"),
+        ('a,"""hi"" there",d', '"hi" there'),
+        ('a,"line\nbreak",d', "line\nbreak"),
+        ('a,"carriage\rreturn",d', "carriage\rreturn"),
+    ], ids=["comma", "quote", "newline", "carriage_return"])
+    def test_header_names_that_need_quotes_round_trip(self, tmp_path,
+                                                      header, name):
+        ds = load_csv(write(tmp_path, f"{header}\n1,2,3\n4.5,5,6\n"))
+        assert name in ds
+        text = to_csv(ds)
+        back = load_csv(write(tmp_path, text, "back.csv"))
+        assert back == ds
+        assert to_csv(back) == text
+
     def test_blocks_cover_every_row_once(self, tmp_path):
         bits = np.random.default_rng(5).integers(
             0, 2**64, size=2 * (_WRITE_BLOCK_ROWS + 3), dtype=np.uint64)
