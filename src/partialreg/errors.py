@@ -102,7 +102,8 @@ class GridTooLarge(PartialRegError, ValueError):
 # CSV ingestion
 
 class IoError(PartialRegError):
-    """An input file could not be opened or read."""
+    """A file could not be opened, read or written, or a dataset cannot
+    be written as CSV."""
 
 
 class ParseError(PartialRegError):

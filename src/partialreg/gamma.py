@@ -39,7 +39,7 @@ from .errors import (
     NumericalOvershoot,
     ZeroLeadSlope,
 )
-from .ols import RegressionFit, fit
+from .ols import RegressionFit, _factor, _solve, fit
 from .stats import _central_moments, column_stats
 from .transform import _combination
 
@@ -328,9 +328,10 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
     ``response`` on ``x1 - g2*controls[0] - g3*controls[1]``; at
     ``(c12, c13)``, the slopes of ``x1`` on the controls, it equals the
     three-predictor multiple slope ``b1``, and that point is carried as
-    the surface's root annotation.  Points are row-major: ``gamma3``
-    varies fastest.  More than :data:`MAX_GRID_POINTS` points raise
-    :class:`GridTooLarge`.
+    the surface's root annotation.  ``b1`` and the root come from one pass
+    over the rows of ``[x1, *controls, response]``.  Points are row-major:
+    ``gamma3`` varies fastest.  More than :data:`MAX_GRID_POINTS` points
+    raise :class:`GridTooLarge`.
     """
     controls = list(controls)
     if len(controls) != 2:
@@ -341,9 +342,10 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
     if grid2.size * grid3.size > MAX_GRID_POINTS:
         raise GridTooLarge(f"{grid2.size} x {grid3.size} surface has more "
                            f"than {MAX_GRID_POINTS} points")
-    reference_slope = fit(ds, response, (x1, x2, x3)).slopes[0]
-    aux = fit(ds, x1, (x2, x3))
-    root = (aux.slopes[0], aux.slopes[1])
+    names = [x1, x2, x3, response]
+    r = _factor(ds, names)
+    reference_slope = _solve(r, names, 3, range(3)).slopes[0]
+    root = _solve(r, names, 0, (1, 2)).slopes
     _check_root(combined_slope(ds, response, x1, controls, root),
                 reference_slope, root)
     return _tabulate(_central_moments(ds, [response, x1, x2, x3])[1],

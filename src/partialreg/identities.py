@@ -24,9 +24,10 @@ not noise.  The checks:
     Slopes of the fit on a predictor subset equal the full-model slopes
     contracted with the matrix of predictor-on-subset slopes.
 
-The suite makes three passes over the rows: ``[x1, *controls, y]`` (full and
-subset fits), ``residualize``'s, and ``[x1*, *controls, y]`` (refit and zero
-slopes).  Each identity compares with the moment route or another pass.
+The suite makes two passes over the rows: ``[x1, *controls, y]`` (full,
+subset and auxiliary fits, the last giving x1*) and ``[x1*, *controls, y]``
+(refit and zero slopes).  Each identity compares with the moment route or
+another pass.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .ols import _factor, _solve, fit_simple
 from .stats import correlation_matrix, multiple_correlation
-from .transform import build_transform, map_coefficients, residualize
+from .transform import build_transform, map_coefficients, residualize_with
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -126,10 +127,11 @@ def _residualized_slope(ds: Dataset, response: str, x1: str,
     union = [x1, *controls, response]
     r = _factor(ds, union)
     full = _solve(r, union, len(controls) + 1, range(len(controls) + 1))
+    aux = _solve(r, union, 0, range(1, len(controls) + 1))
     name = x1 + "*"
     while name in ds:  # e.g. residualize's own CSV already holds x1*
         name += "*"
-    residual = residualize(ds, x1, controls, name)
+    residual = residualize_with(ds, x1, controls, aux.slopes, name)
     augmented = residual.merged_into(ds)
     simple = fit_simple(augmented, response, residual.name)
     report = _report(_claim_name(len(controls)),
@@ -146,11 +148,14 @@ def verify_residualized_slope(ds: Dataset, response: str, x1: str,
     ``lhs`` is the slope on ``x1`` in the fit of ``response`` on
     ``[x1, *controls]``; ``rhs`` is the slope of the simple fit of
     ``response`` on ``x1`` residualized against the controls.  Raises
-    ValueError unless ``tolerance`` is finite and positive.
+    ValueError unless ``tolerance`` is finite and positive and some control
+    is given.
     """
     _checked_tolerance(tolerance)
-    return _residualized_slope(ds, response, x1, list(controls),
-                               tolerance)[0]
+    controls = list(controls)
+    if not controls:
+        raise ValueError("need at least one control")
+    return _residualized_slope(ds, response, x1, controls, tolerance)[0]
 
 
 def aggregate_coefficients(slopes: Sequence[float],

@@ -176,7 +176,15 @@ def _read_strict(data: bytes, path: str | os.PathLike) -> Dataset:
 
 
 def to_csv(ds: Dataset) -> str:
-    """Serialize a dataset in the same strict format, 12 digits."""
+    """Serialize a dataset in the same strict format, 12 digits.
+
+    Raises :class:`IoError` if a column name starts or ends with
+    whitespace, which :func:`load_csv` strips and so could not give back.
+    """
+    for name in ds.names:
+        if name != name.strip():
+            raise IoError(f"column name {name!r} starts or ends with "
+                          f"whitespace, which a CSV header cannot keep")
     columns = [ds.column(name) for name in ds.names]
     row = ",".join(["%" + _NUMBER_FORMAT] * len(columns)) + "\n"
     header = StringIO()  # "\r\n" makes it quote names holding \r or \n

@@ -7,10 +7,13 @@ of these population moments, and any common rescaling of them (for example
 the ``n/(n-1)`` sample correction) cancels in every slope, so nothing here
 exposes a convention switch.
 
-Computation is two-pass (center first, then average products), which is the
-numerically stable arrangement and makes ``covariance(ds, a, a)`` return the
-variance of ``a`` bit for bit.  Every moment here, ``fit_simple`` and the
-gamma closed forms read one routine that centers each column once per call.
+Computation is two-pass (center first, then one dot product of deviations
+per pair, divided by ``n``), which is the numerically stable arrangement and
+makes ``covariance(ds, a, a)`` return the variance of ``a`` bit for bit.  The
+dot product makes no n-row temporary; BLAS may split it across threads, so
+the last bits depend on the BLAS thread count (never within one process).
+Every moment here, ``fit_simple`` and the gamma closed forms read one routine
+that centers each column once per call.
 That routine raises :class:`~partialreg.errors.SingularDesign` when a mean or
 a cross moment overflows the double range.
 """
@@ -62,7 +65,7 @@ class SummaryStats:
 
 def _central_moments(ds: Dataset, names: Sequence[str]
                      ) -> tuple[list[float], list[list[float]]]:
-    """Means and centered cross moments ``cross[i][j] = mean(dev_i * dev_j)``
+    """Means and centered cross moments ``cross[i][j] = dev_i . dev_j / n``
     of the named columns, read in name order and each centered once; every
     pair is computed once and mirrored, so the diagonal holds the variances.
     """
@@ -72,7 +75,7 @@ def _central_moments(ds: Dataset, names: Sequence[str]
         devs = [x - mean for x, mean in zip(columns, means)]
         cross = np.empty((len(devs), len(devs)))
         for i, j in zip(*np.triu_indices(len(devs))):
-            cross[i, j] = cross[j, i] = np.mean(devs[i] * devs[j])
+            cross[i, j] = cross[j, i] = np.dot(devs[i], devs[j]) / ds.n
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(cross))):
         raise SingularDesign(
             f"moments of {list(names)}: a mean or cross moment overflows "

@@ -383,7 +383,8 @@ class TestReportCommand:
         verify_designs, designs[:] = designs[:], []
         assert main(["report", *argv]) == EXIT_OK
         capsys.readouterr()
-        assert len(verify_designs) == 3
+        union = ["X1", *controls.split(","), "Y"]
+        assert verify_designs == [union, ["X1*", *union[1:]]]
         assert designs == verify_designs
 
     @pytest.mark.parametrize("argv, data", [

@@ -13,6 +13,7 @@ from helpers import (
     sign_change_count,
 )
 import partialreg.gamma
+import partialreg.ols
 from partialreg import (
     Dataset,
     DegenerateDirection,
@@ -32,6 +33,7 @@ from partialreg import (
     residualize_with,
     slope_on_gamma,
 )
+from partialreg.ols import _factor, _solve
 
 D1_B1 = float(Fraction(15, 11))
 D1_ROOTS = (float(Fraction(-4, 15)), float(Fraction(31, 35)))
@@ -382,7 +384,8 @@ class TestGammaSurface:
     def test_root_is_the_fitted_control_pair(self, d1_extended):
         surface = gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"],
                                 [0.0], [0.0])
-        aux = fit(d1_extended, "X1", ["X2", "X3"])
+        names = ["X1", "X2", "X3", "Y"]
+        aux = _solve(_factor(d1_extended, names), names, 0, (1, 2))
         assert surface.roots == ((aux.slopes[0], aux.slopes[1]),)
         assert surface.roots[0][0] == pytest.approx(74 / 117, rel=1e-10)
         assert surface.roots[0][1] == pytest.approx(61 / 117, rel=1e-10)
@@ -399,6 +402,31 @@ class TestGammaSurface:
                                 [-1.0, 0.25, 2.0], [0.0])
         for (g2, _), value in zip(surface.points, surface.values):
             assert value == slope_on_gamma(d1_extended, "Y", "X1", "X2", g2)
+
+    def test_gamma3_zero_line_matches_where_blas_threads(self):
+        # At 200_003 rows BLAS splits each moment's dot product across
+        # threads; surface, sweep and scalar must still agree bit for bit.
+        ds = random_dataset(np.random.default_rng(7), n=200_003, k=3)
+        gammas = [-1.0, 0.25, 2.0]
+        surface = gamma_surface(ds, "Y", "X1", ["X2", "X3"], gammas, [0.0])
+        sweep = gamma_sweep(ds, "Y", "X1", "X2", gammas)
+        assert len(surface.values) == len(sweep.values) == len(gammas)
+        for (g2, _), value, swept in zip(surface.points, surface.values,
+                                         sweep.values):
+            assert value == swept == slope_on_gamma(ds, "Y", "X1", "X2", g2)
+
+    def test_reads_the_rows_once(self, monkeypatch, d1_extended):
+        passes = []
+        factor = partialreg.ols._factor
+
+        def counting_factor(ds, names):
+            passes.append(list(names))
+            return factor(ds, names)
+
+        monkeypatch.setattr(partialreg.ols, "_factor", counting_factor)
+        monkeypatch.setattr(partialreg.gamma, "_factor", counting_factor)
+        gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"], [0.0], [0.0])
+        assert passes == [["X1", "X2", "X3", "Y"]]
 
     def test_closed_form_matches_data_route(self):
         # Offsets and unit changes must cost the moment closed form no

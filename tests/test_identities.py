@@ -24,7 +24,7 @@ from partialreg import (
     run_verification_suite,
     verify_residualized_slope,
 )
-from partialreg.ols import _TILE_ROWS
+from partialreg.ols import _TILE_ROWS, _factor, _solve
 
 SUITE_CLAIMS_ONE_CONTROL = [
     "residualized_slope_one_control",
@@ -90,6 +90,10 @@ class TestVerifyResidualizedSlope:
     def test_rejects_tolerance_not_finite_and_positive(self, d1, tolerance):
         with pytest.raises(ValueError, match="finite and positive"):
             verify_residualized_slope(d1, "Y", "X1", ["X2"], tolerance)
+
+    def test_empty_controls_rejected(self, d1):
+        with pytest.raises(ValueError, match="at least one control"):
+            verify_residualized_slope(d1, "Y", "X1", [])
 
     def test_holds_across_random_datasets(self):
         rng = np.random.default_rng(17)
@@ -323,9 +327,8 @@ class TestRunVerificationSuite:
                             counting_factor)
 
     @pytest.mark.parametrize("controls, designs", [
-        (["X2"], [["X1", "X2", "Y"], ["X2", "X1"], ["X1*", "X2", "Y"]]),
-        (["X2", "X3"], [["X1", "X2", "X3", "Y"], ["X2", "X3", "X1"],
-                        ["X1*", "X2", "X3", "Y"]]),
+        (["X2"], [["X1", "X2", "Y"], ["X1*", "X2", "Y"]]),
+        (["X2", "X3"], [["X1", "X2", "X3", "Y"], ["X1*", "X2", "X3", "Y"]]),
     ], ids=["one_control", "two_controls"])
     def test_fits_each_design_once(self, monkeypatch, d1_extended,
                                    controls, designs):
@@ -348,21 +351,27 @@ class TestRunVerificationSuite:
                                                    d1_extended):
         residuals, passes = [], []
 
-        def spy_residualize(*args):
-            residuals.append(residualize(*args))
+        def spy_residualize_with(*args):
+            residuals.append(residualize_with(*args))
             return residuals[-1]
 
-        residualize = partialreg.identities.residualize
-        monkeypatch.setattr(partialreg.identities, "residualize",
-                            spy_residualize)
+        residualize_with = partialreg.identities.residualize_with
+        monkeypatch.setattr(partialreg.identities, "residualize_with",
+                            spy_residualize_with)
         self.spy_passes(monkeypatch, passes)
         run_verification_suite(d1_extended, "Y", "X1", ["X2", "X3"])
         (residual,) = residuals
-        assert len(passes) == 3
-        for _, ds in passes[:2]:
-            assert ds.column("X1") is d1_extended.column("X1")
-        names, ds = passes[2]
+        assert len(passes) == 2
+        assert passes[0][1].column("X1") is d1_extended.column("X1")
+        names, ds = passes[1]
         assert ds.column(names[0]) is residual.values
+
+    def test_verify_residualized_slope_reads_the_rows_once(
+            self, monkeypatch, d1_extended):
+        passes = []
+        self.spy_passes(monkeypatch, passes)
+        verify_residualized_slope(d1_extended, "Y", "X1", ["X2", "X3"])
+        assert [names for names, _ in passes] == [["X1", "X2", "X3", "Y"]]
 
     @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
                              ids=["one_control", "two_controls"])
@@ -426,8 +435,10 @@ class TestRunVerificationSuite:
             assert reports[0] == verify_residualized_slope(
                 ds, "Y", "X1", controls)
             full = fit(ds, "Y", ["X1", *controls])
-            matrix = np.vstack([fit(ds, "X1", controls).slopes,
-                                np.eye(len(controls))])
+            union = ["X1", *controls, "Y"]
+            aux = _solve(_factor(ds, union), union, 0,
+                         range(1, len(controls) + 1))
+            matrix = np.vstack([aux.slopes, np.eye(len(controls))])
             aggregation = reports[-1]
             assert aggregation.claim == "aggregation_recovers_subset_slopes"
             assert aggregation.lhs == aggregate_coefficients(

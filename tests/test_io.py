@@ -1,6 +1,7 @@
 """CSV loading, saving, and 12-digit number formatting."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,12 @@ class TestWriteCsv:
         back = load_csv(write(tmp_path, text, "back.csv"))
         assert back == ds
         assert to_csv(back) == text
+
+    @pytest.mark.parametrize("name", [" a", "b ", "\tc", " "])
+    def test_name_load_csv_would_strip_is_rejected(self, name):
+        ds = Dataset({name: [1.0, 2.0], "d": [3.0, 4.0]})
+        with pytest.raises(IoError, match=re.escape(repr(name))):
+            to_csv(ds)
 
     def test_blocks_cover_every_row_once(self, tmp_path):
         bits = np.random.default_rng(5).integers(

@@ -1,6 +1,7 @@
 """Moments, correlations, and the multiple correlation coefficient."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from partialreg import (
     predict,
     residualize,
 )
+from partialreg.stats import _central_moments
 
 # Exact moments of the six-row worked dataset, computed by hand.
 D1_MEAN_X = Fraction(7, 2)
@@ -79,8 +81,8 @@ class TestCovariance:
 
 
 def two_pass(a, b):
-    """Center each column, then average the products."""
-    return float(np.mean((a - a.mean()) * (b - b.mean())))
+    """Center each column, then one dot product of the deviations over n."""
+    return float(np.dot(a - a.mean(), b - b.mean()) / a.size)
 
 
 def scaled_and_offset_datasets(seed, count=40):
@@ -127,6 +129,55 @@ class TestMomentsAreTwoPass:
             slope = two_pass(x, y) / two_pass(x, x)
             assert fitted.slopes == (slope,)
             assert fitted.intercept == float(y.mean()) - slope * float(x.mean())
+
+
+# Long enough that BLAS splits each dot product across its threads.
+THREADED_N = 200_003
+
+
+class TestMomentsAtThreadedSize:
+    """The bit contracts hold where each pair's dot product is threaded."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        return random_dataset(np.random.default_rng(211), n=THREADED_N, k=3)
+
+    def test_diagonal_is_the_variance(self, big):
+        cross = _central_moments(big, big.names)[1]
+        for i, name in enumerate(big.names):
+            variance = column_stats(big, name).variance
+            assert cross[i][i] == variance
+            assert covariance(big, name, name) == variance
+            x = big.column(name)
+            assert variance == two_pass(x, x)
+
+    def test_pairs_are_symmetric(self, big):
+        for a in big.names:
+            for b in big.names:
+                assert covariance(big, a, b) == covariance(big, b, a) \
+                    == two_pass(big.column(a), big.column(b))
+
+    def test_subset_matches_superset(self, big):
+        names = list(big.names)
+        means, cross = _central_moments(big, names)
+        for subset in (["Y", "X1", "X2"], ["X3", "X1"], ["X2"]):
+            sub_means, sub_cross = _central_moments(big, subset)
+            index = [names.index(name) for name in subset]
+            assert sub_means == [means[i] for i in index]
+            assert sub_cross == [[cross[i][j] for j in index] for i in index]
+
+    def test_no_per_pair_temporary(self):
+        # Centering makes one n-row array per column; a pair must not add
+        # another (np.mean(dev_i * dev_j) would).
+        n, names = 100_000, ["X1", "X2", "X3", "Y"]
+        ds = random_dataset(np.random.default_rng(5), n=n, k=3)
+        tracemalloc.start()
+        try:
+            _central_moments(ds, names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (len(names) + 0.5) * 8 * n
 
 
 class TestPearson:
