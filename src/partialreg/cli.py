@@ -49,7 +49,7 @@ from .identities import (
     run_verification_suite,
 )
 from .io import format_number, load_csv, round_to_printed, to_csv
-from .ols import fit, fit_simple
+from .ols import _simple_from_moments, fit
 from .stats import _central_moments
 from .transform import residualize
 
@@ -312,11 +312,12 @@ def _cmd_report(args: argparse.Namespace, ds: Dataset):
     lines.append("")
 
     lines.append("simple fits")
-    for name in names:
-        simple = fit_simple(ds, response, name)
+    means, cross = _central_moments(ds, [response, *names])
+    for i, name in enumerate(names, 1):
+        intercept, slope, _ = _simple_from_moments(means, cross, 0, i, name)
         lines.append(f"  {response} ~ {name}: intercept "
-                     f"{format_number(simple.intercept)}, slope "
-                     f"{format_number(simple.slopes[0])}")
+                     f"{format_number(intercept)}, slope "
+                     f"{format_number(slope)}")
     lines.append("")
 
     pieces = " - ".join(
@@ -326,8 +327,7 @@ def _cmd_report(args: argparse.Namespace, ds: Dataset):
     lines.append(f"residualized predictor {residual.name} = {x1} - {pieces}")
     if len(controls) == 1:
         try:
-            roots = _roots_from_fit(full, _central_moments(
-                ds, [response, x1, controls[0]])[1])
+            roots = _roots_from_fit(full, cross)
             shown = ", ".join(format_number(r) for r in roots)
             lines.append(f"gammas where the combined-predictor slope "
                          f"equals the multiple slope: {shown}")

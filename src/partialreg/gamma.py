@@ -40,7 +40,7 @@ from .errors import (
     ZeroLeadSlope,
 )
 from .ols import RegressionFit, _factor, _solve, fit
-from .stats import _central_moments, column_stats
+from .stats import _central_moments
 from .transform import _combination
 
 __all__ = [
@@ -169,10 +169,19 @@ def combined_slope(ds: Dataset, response: str, x1: str,
     if len(controls) != len(gammas):
         raise LengthMismatch(
             f"{len(controls)} controls but {len(gammas)} gammas")
+    moments = _central_moments(ds, [x1, *controls])[1]
+    return _combined_slope(ds, response, x1, controls, gammas,
+                           [moments[i][i] for i in range(len(moments))])
+
+
+def _combined_slope(ds: Dataset, response: str, x1: str, controls: list[str],
+                    gammas: list[float], variances: list[float]) -> float:
+    """:func:`combined_slope` given the variances of ``[x1, *controls]``,
+    the scale of its constant-predictor floor."""
     column = _combination(ds, [x1, *controls], [1.0, *(-g for g in gammas)])
-    scale = column_stats(ds, x1).variance
-    for control, g in zip(controls, gammas):
-        scale += (g * g) * column_stats(ds, control).variance
+    scale = variances[0]
+    for variance, g in zip(variances[1:], gammas):
+        scale += (g * g) * variance
     deviations = column - column.mean()
     denominator = float(np.mean(deviations * deviations))
     if denominator <= DENOMINATOR_FLOOR * scale:
@@ -329,9 +338,10 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
     ``(c12, c13)``, the slopes of ``x1`` on the controls, it equals the
     three-predictor multiple slope ``b1``, and that point is carried as
     the surface's root annotation.  ``b1`` and the root come from one pass
-    over the rows of ``[x1, *controls, response]``.  Points are row-major:
-    ``gamma3`` varies fastest.  More than :data:`MAX_GRID_POINTS` points
-    raise :class:`GridTooLarge`.
+    over the rows of ``[x1, *controls, response]``, and the values and the
+    variance scale of the root check from one moment call.  Points are
+    row-major: ``gamma3`` varies fastest.  More than
+    :data:`MAX_GRID_POINTS` points raise :class:`GridTooLarge`.
     """
     controls = list(controls)
     if len(controls) != 2:
@@ -346,8 +356,9 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
     r = _factor(ds, names)
     reference_slope = _solve(r, names, 3, range(3)).slopes[0]
     root = _solve(r, names, 0, (1, 2)).slopes
-    _check_root(combined_slope(ds, response, x1, controls, root),
+    moments = _central_moments(ds, [response, x1, x2, x3])[1]
+    _check_root(_combined_slope(ds, response, x1, controls, list(root),
+                                [moments[i][i] for i in (1, 2, 3)]),
                 reference_slope, root)
-    return _tabulate(_central_moments(ds, [response, x1, x2, x3])[1],
-                     ("gamma", "gamma3"), (grid2, grid3), reference_slope,
-                     (root,))
+    return _tabulate(moments, ("gamma", "gamma3"), (grid2, grid3),
+                     reference_slope, (root,))

@@ -26,8 +26,12 @@ not noise.  The checks:
 
 The suite makes two passes over the rows: ``[x1, *controls, y]`` (full,
 subset and auxiliary fits, the last giving x1*) and ``[x1*, *controls, y]``
-(refit and zero slopes).  Each identity compares with the moment route or
-another pass.
+(refit and zero slopes).  Its moment route makes two moment passes: one over
+``[x1, *controls]`` (with one control, ``[x1, x2, y]``) for the collinearity
+gate and the one-control slope relations, and one over
+``[x1*, *controls, y]`` for the residualized slope and the multiple
+correlation of x1* with the controls.  Each identity compares with the
+moment route or another pass.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from .errors import (
     PartialRegError,
     ShapeMismatch,
 )
-from .ols import _factor, _solve, fit_simple
-from .stats import correlation_matrix, multiple_correlation
+from .ols import _factor, _simple_from_moments, _solve
+from .stats import _central_moments, _correlations, _multiple_correlation
 from .transform import build_transform, map_coefficients, residualize_with
 
 __all__ = [
@@ -121,9 +125,9 @@ def _claim_name(control_count: int) -> str:
     return "residualized_slope_many_controls"
 
 
-def _residualized_slope(ds: Dataset, response: str, x1: str,
-                        controls: list[str], tolerance: float):
-    """The report plus the R of its union, full fit, residual and data."""
+def _residualized(ds: Dataset, response: str, x1: str, controls: list[str]):
+    """The R of ``[x1, *controls, response]``, the full fit on it, x1* and
+    the data augmented with x1*."""
     union = [x1, *controls, response]
     r = _factor(ds, union)
     full = _solve(r, union, len(controls) + 1, range(len(controls) + 1))
@@ -132,11 +136,17 @@ def _residualized_slope(ds: Dataset, response: str, x1: str,
     while name in ds:  # e.g. residualize's own CSV already holds x1*
         name += "*"
     residual = residualize_with(ds, x1, controls, aux.slopes, name)
-    augmented = residual.merged_into(ds)
-    simple = fit_simple(augmented, response, residual.name)
-    report = _report(_claim_name(len(controls)),
-                     full.slopes[0], simple.slopes[0], tolerance)
-    return report, r, full, residual, augmented
+    return r, full, residual, residual.merged_into(ds)
+
+
+def _residualized_report(full, residual, means, cross,
+                         tolerance: float) -> VerificationReport:
+    """The residualized-slope claim, its simple slope taken from the
+    moments of ``[x1*, ..., response]``."""
+    simple = _simple_from_moments(means, cross, len(means) - 1, 0,
+                                  residual.name)[1]
+    return _report(_claim_name(len(residual.controls)),
+                   full.slopes[0], simple, tolerance)
 
 
 def verify_residualized_slope(ds: Dataset, response: str, x1: str,
@@ -155,7 +165,9 @@ def verify_residualized_slope(ds: Dataset, response: str, x1: str,
     controls = list(controls)
     if not controls:
         raise ValueError("need at least one control")
-    return _residualized_slope(ds, response, x1, controls, tolerance)[0]
+    _, full, residual, augmented = _residualized(ds, response, x1, controls)
+    return _residualized_report(full, residual, *_central_moments(
+        augmented, [residual.name, response]), tolerance)
 
 
 def aggregate_coefficients(slopes: Sequence[float],
@@ -274,7 +286,10 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
     if not controls:
         raise ValueError("need at least one control")
     names = [x1, *controls]
-    corr = correlation_matrix(ds, names)
+    # One control: the slope relations read the response's moments too.
+    means, cross = _central_moments(
+        ds, [*names, response] if len(controls) == 1 else names)
+    corr = _correlations(cross, names)
     for i, j in zip(*np.triu_indices(len(names), 1)):
         r = float(corr[i, j])
         if abs(r) >= 1.0 - 1e-12:
@@ -287,14 +302,16 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
             f"would rewrite it")
 
     with _tag_claim(_claim_name(len(controls))):
-        first, r_raw, full, residual, augmented = _residualized_slope(
-            ds, response, x1, controls, tolerance)
-    reports = [first]
-    union = [residual.name, *controls, response]
+        r_raw, full, residual, augmented = _residualized(
+            ds, response, x1, controls)
+        union = [residual.name, *controls, response]
+        star_means, star_cross = _central_moments(augmented, union)
+        reports = [_residualized_report(full, residual, star_means,
+                                        star_cross, tolerance)]
     r_star = _factor(augmented, union)
 
     with _tag_claim("residual_uncorrelated_with_controls"):
-        rho = multiple_correlation(augmented, residual.name, controls)
+        rho = _multiple_correlation(star_cross, union[:-1])
         reports.append(_report("residual_uncorrelated_with_controls",
                                rho, 0.0, tolerance))
 
@@ -317,10 +334,10 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
     if len(controls) == 1:
         x2 = controls[0]
         with _tag_claim("two_predictor_slope_relations"):
-            a1 = fit_simple(ds, response, x1).slopes[0]
-            a2 = fit_simple(ds, response, x2).slopes[0]
-            c12 = fit_simple(ds, x1, x2).slopes[0]
-            c21 = fit_simple(ds, x2, x1).slopes[0]
+            a1, a2, c12, c21 = (
+                _simple_from_moments(means, cross, y, x, name)[1]
+                for y, x, name in ((2, 0, x1), (2, 1, x2), (0, 1, x2),
+                                   (1, 0, x1)))
             b1, b2 = full.slopes
             r = float(corr[0, 1])
             reports.append(_report(

@@ -3,11 +3,14 @@
 ``fit`` solves least squares through one R-only QR of ``[1, X | y]``, taken
 a tile of rows at a time, rather than by forming X'X, and it refuses
 designs whose condition number says the answer would be noise.  That is
-one tiled pass per column set: ``_factor`` makes the pass and ``_solve``
-fits any subset of its columns from the R of the union alone.
+one tiled pass per column set: ``_factor`` makes the pass, factoring each
+tile as L1-sized leaves in one stacked QR, and ``_solve`` fits any subset
+of its columns from the R of the union alone.
 ``fit_simple`` is the one-predictor closed form, kept as a separate code
 path on purpose: several identities in this package equate outputs of the
 two routes, and that check is only meaningful if they do not share code.
+Its arithmetic lives in ``_simple_from_moments``, so callers that already
+hold the moments of a column set take simple slopes from them.
 """
 
 from __future__ import annotations
@@ -39,8 +42,13 @@ __all__ = [
 #: Designs whose 2-norm condition number exceeds this are rejected.
 CONDITION_LIMIT = 1e12
 
-# Rows per QR tile in ``fit``; 8192 (320 KB at k = 3) measured fastest.
+# Rows per tile of the pass in ``fit``; 8192 (320 KB at k = 3) measured
+# fastest.
 _TILE_ROWS = 8192
+
+# Rows per leaf QR within a tile: 1024 (40 KB at k = 3) keeps LAPACK's
+# working set in L1 cache.
+_LEAF_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -107,14 +115,27 @@ def fit(ds: Dataset, response: str,
 
 
 def _factor(ds: Dataset, names: Sequence[str]) -> np.ndarray:
-    """R factor of ``[1, *names]``, from one tiled pass over the rows."""
+    """R factor of ``[1, *names]``, from one tiled pass over the rows.
+
+    Each tile's full leaves of ``_LEAF_ROWS`` rows are factored by one
+    stacked QR and its ragged rest by one more; a final QR of all their Rs
+    gives the R of the whole design (TSQR)."""
     columns = [ds.column(name) for name in names]
-    ones = np.ones(min(ds.n, _TILE_ROWS))
+    # One tile buffer for the pass; its row of ones is written once.
+    block = np.empty((len(names) + 1, min(ds.n, _TILE_ROWS)))
+    block[0] = 1.0
     tile_rs = []
     for start in range(0, ds.n, _TILE_ROWS):
-        rows = [column[start:start + _TILE_ROWS] for column in columns]
-        tile = np.array([ones[:rows[0].size], *rows]).T  # Fortran order
-        tile_rs.append(np.linalg.qr(tile, mode="r"))
+        size = min(_TILE_ROWS, ds.n - start)
+        for row, column in zip(block[1:], columns):
+            row[:size] = column[start:start + size]
+        split = size - size % _LEAF_ROWS
+        if split:
+            leaves = block[:, :split].reshape(len(block), -1, _LEAF_ROWS)
+            # (leaf, row, column): each leaf is a Fortran-ordered matrix.
+            tile_rs.extend(np.linalg.qr(leaves.transpose(1, 2, 0), mode="r"))
+        if split < size:
+            tile_rs.append(np.linalg.qr(block[:, split:size].T, mode="r"))
     return np.linalg.qr(np.vstack(tile_rs), mode="r")
 
 
@@ -166,19 +187,12 @@ def fit_simple(ds: Dataset, response: str, predictor: str) -> RegressionFit:
     ZeroVariance
         If the predictor is constant.
     """
-    (m, my), ((v, cxy), _) = _central_moments(ds, [predictor, response])
-    if v == 0.0:
-        raise ZeroVariance(f"column {predictor!r} is constant")
-    slope = cxy / v
-    intercept = my - slope * m
+    means, cross = _central_moments(ds, [predictor, response])
+    intercept, slope, condition = _simple_from_moments(
+        means, cross, 1, 0, predictor)
     resid = slope * ds.column(predictor)  # y - (intercept + slope * x)
     resid += intercept
     np.subtract(ds.column(response), resid, out=resid)
-    # cond([1, x]) from the eigenvalues of its Gram matrix over n,
-    # [[1, m], [m, m² + v]]: their sum t is 1 + m² + v, their product is v,
-    # and t² - 4v = (1 - v)² + m²(m² + 2 + 2v) has no cancellation.
-    root = math.hypot(1.0 - v, m * math.sqrt(m * m + 2.0 + 2.0 * v))
-    condition = (1.0 + m * m + v + root) / 2.0 / math.sqrt(v)
     return RegressionFit(
         response=response,
         predictors=(predictor,),
@@ -187,6 +201,26 @@ def fit_simple(ds: Dataset, response: str, predictor: str) -> RegressionFit:
         condition_estimate=condition,
         rss=float(resid @ resid),
     )
+
+
+def _simple_from_moments(means: Sequence[float],
+                         cross: Sequence[Sequence[float]], response: int,
+                         predictor: int, name: str
+                         ) -> tuple[float, float, float]:
+    """Intercept, slope and condition of :func:`fit_simple` from the means
+    and centered moments of a column list holding the response at index
+    ``response`` and the predictor, named ``name``, at ``predictor``."""
+    m, my = means[predictor], means[response]
+    v, cxy = cross[predictor][predictor], cross[predictor][response]
+    if v == 0.0:
+        raise ZeroVariance(f"column {name!r} is constant")
+    slope = cxy / v
+    # cond([1, x]) from the eigenvalues of its Gram matrix over n,
+    # [[1, m], [m, m² + v]]: their sum t is 1 + m² + v, their product is v,
+    # and t² - 4v = (1 - v)² + m²(m² + 2 + 2v) has no cancellation.
+    root = math.hypot(1.0 - v, m * math.sqrt(m * m + 2.0 + 2.0 * v))
+    condition = (1.0 + m * m + v + root) / 2.0 / math.sqrt(v)
+    return my - slope * m, slope, condition
 
 
 def predict(fitted: RegressionFit, row: Mapping[str, float]) -> float:

@@ -13,7 +13,10 @@ makes ``covariance(ds, a, a)`` return the variance of ``a`` bit for bit.  The
 dot product makes no n-row temporary; BLAS may split it across threads, so
 the last bits depend on the BLAS thread count (never within one process).
 Every moment here, ``fit_simple`` and the gamma closed forms read one routine
-that centers each column once per call.
+that centers each column once per call.  The moments of a column subset are
+the superset's bits, so a caller needing several statistics takes one call
+over the union and hands the moments to the private from-moments forms
+(``_correlations``, ``_multiple_correlation``).
 That routine raises :class:`~partialreg.errors.SingularDesign` when a mean or
 a cross moment overflows the double range.
 """
@@ -141,7 +144,13 @@ def correlation_matrix(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     Raises like :func:`pearson_r`, checking the columns in order.
     """
     names = list(names)
-    cross = _central_moments(ds, names)[1]
+    return _correlations(_central_moments(ds, names)[1], names)
+
+
+def _correlations(cross: list[list[float]], names: Sequence[str]
+                  ) -> np.ndarray:
+    """:func:`correlation_matrix` from centered moments whose leading
+    block is that of ``names``."""
     sds = []
     for i, name in enumerate(names):
         if cross[i][i] == 0.0:
@@ -173,10 +182,18 @@ def multiple_correlation(ds: Dataset, target: str,
         If the squared value leaves [0, 1] by more than
         :data:`CLAMP_TOLERANCE`.
     """
-    predictors = list(predictors)
-    if not predictors:
+    names = [target, *predictors]
+    if len(names) < 2:
         raise ValueError("need at least one predictor")
-    corr = correlation_matrix(ds, [target, *predictors])
+    return _multiple_correlation(_central_moments(ds, names)[1], names)
+
+
+def _multiple_correlation(cross: list[list[float]], names: Sequence[str]
+                          ) -> float:
+    """:func:`multiple_correlation` of ``names[0]`` with ``names[1:]`` from
+    centered moments whose leading block is that of ``names``."""
+    target, *predictors = names
+    corr = _correlations(cross, names)
     minor = corr[1:, 1:]
     cofactor = float(np.linalg.det(minor))
     # Hadamard bound: |det| of a unit-diagonal correlation block is <= 1,

@@ -59,8 +59,9 @@ def _combination(ds: Dataset, names: Sequence[str],
     (w, name), *rest = [(w, name) for name, w in zip(names, weights)
                         if w != 0.0]
     column = w * ds.column(name)
+    term = np.empty_like(column) if rest else None
     for w, name in rest:
-        column += w * ds.column(name)
+        column += np.multiply(w, ds.column(name), out=term)
     column.setflags(write=False)
     return column
 

@@ -111,3 +111,24 @@ def sign_change_count(values: np.ndarray, *, zero_floor: float) -> int:
     if signs.size < 2:
         return 0
     return int(np.sum(signs[1:] != signs[:-1]))
+
+
+def spy_moment_calls(monkeypatch) -> list[list[str]]:
+    """Record the column list of every moment call the library makes."""
+    import partialreg.cli
+    import partialreg.gamma
+    import partialreg.identities
+    import partialreg.ols
+    import partialreg.stats
+
+    calls: list[list[str]] = []
+    moments = partialreg.stats._central_moments
+
+    def recording(ds, names):
+        calls.append(list(names))
+        return moments(ds, names)
+
+    for module in (partialreg.stats, partialreg.ols, partialreg.identities,
+                   partialreg.gamma, partialreg.cli):
+        monkeypatch.setattr(module, "_central_moments", recording)
+    return calls

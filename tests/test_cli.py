@@ -8,7 +8,7 @@ import pytest
 import partialreg.cli
 import partialreg.identities
 import partialreg.ols
-from helpers import random_dataset, rescaled_x1_dataset
+from helpers import random_dataset, rescaled_x1_dataset, spy_moment_calls
 from partialreg import (
     ZeroLeadSlope,
     fit,
@@ -386,6 +386,18 @@ class TestReportCommand:
         union = ["X1", *controls.split(","), "Y"]
         assert verify_designs == [union, ["X1*", *union[1:]]]
         assert designs == verify_designs
+
+    @pytest.mark.parametrize("controls", ["X2", "X2,X3"])
+    def test_simple_fits_and_roots_share_one_moment_call(
+            self, monkeypatch, capsys, d1_extended_csv, controls):
+        calls = spy_moment_calls(monkeypatch)
+        argv = ["--input", d1_extended_csv, "--response", "Y", "--x1", "X1",
+                "--controls", controls]
+        assert main(["verify", *argv]) == EXIT_OK
+        verify_calls, calls[:] = calls[:], []
+        assert main(["report", *argv]) == EXIT_OK
+        capsys.readouterr()
+        assert calls == [*verify_calls, ["Y", "X1", *controls.split(",")]]
 
     @pytest.mark.parametrize("argv, data", [
         (["--x1", "X1", "--controls", "P"], "columns"),

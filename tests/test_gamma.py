@@ -11,6 +11,7 @@ from helpers import (
     gamma_scan_values,
     random_dataset,
     sign_change_count,
+    spy_moment_calls,
 )
 import partialreg.gamma
 import partialreg.ols
@@ -201,6 +202,17 @@ class TestCombinedSlope:
         })
         with pytest.raises(DegenerateDirection):
             combined_slope(ds, "Y", "X1", ["X2", "X3"], [1.0, 1.0])
+
+    def test_one_moment_call(self, monkeypatch, d1_extended):
+        calls = spy_moment_calls(monkeypatch)
+        combined_slope(d1_extended, "Y", "X1", ["X2", "X3"], [0.5, -0.25])
+        assert calls == [["X1", "X2", "X3"]]
+
+    def test_surface_makes_one_moment_call(self, monkeypatch, d1_extended):
+        calls = spy_moment_calls(monkeypatch)
+        gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"], [0.0, 1.0],
+                      [-1.0, 0.5])
+        assert calls == [["Y", "X1", "X2", "X3"]]
 
 
 class TestGammaRoots:

@@ -5,7 +5,12 @@ import pytest
 
 import partialreg.identities
 import partialreg.ols
-from helpers import predictor_names, random_dataset, rescaled_x1_dataset
+from helpers import (
+    predictor_names,
+    random_dataset,
+    rescaled_x1_dataset,
+    spy_moment_calls,
+)
 from partialreg import (
     CollinearPredictors,
     Dataset,
@@ -19,8 +24,10 @@ from partialreg import (
     decompose_coefficients,
     fit,
     fit_simple,
+    multiple_correlation,
     pearson_r,
     residualize,
+    residualize_with,
     run_verification_suite,
     verify_residualized_slope,
 )
@@ -443,3 +450,49 @@ class TestRunVerificationSuite:
             assert aggregation.claim == "aggregation_recovers_subset_slopes"
             assert aggregation.lhs == aggregate_coefficients(
                 full.slopes, matrix)
+            # The moment claims read one call over [X1*, *controls, Y]; a
+            # subset's moments are the superset's bits.
+            augmented = residualize_with(
+                ds, "X1", controls, aux.slopes, "X1*").merged_into(ds)
+            assert reports[0].rhs == fit_simple(augmented, "Y", "X1*").slopes
+            assert reports[1].lhs == (multiple_correlation(
+                augmented, "X1*", controls),)
+
+
+class TestMomentPasses:
+    """One moment call per column set, and which sets those are."""
+
+    @pytest.mark.parametrize("controls, column_sets", [
+        (["X2"], [["X1", "X2", "Y"], ["X1*", "X2", "Y"]]),
+        (["X2", "X3"], [["X1", "X2", "X3"], ["X1*", "X2", "X3", "Y"]]),
+    ], ids=["one_control", "two_controls"])
+    def test_suite(self, monkeypatch, d1_extended, controls, column_sets):
+        calls = spy_moment_calls(monkeypatch)
+        run_verification_suite(d1_extended, "Y", "X1", controls)
+        assert calls == column_sets
+
+    def test_verify_residualized_slope(self, monkeypatch, d1_extended):
+        calls = spy_moment_calls(monkeypatch)
+        verify_residualized_slope(d1_extended, "Y", "X1", ["X2", "X3"])
+        assert calls == [["X1*", "Y"]]
+
+    def test_constant_response_with_one_control(self):
+        # The gate shares its moment call with the response but looks only
+        # at the predictors, so a constant response is no gate error.
+        rng = np.random.default_rng(43)
+        for n in (6, 40):
+            ds = random_dataset(rng, n=n, k=2)
+            ds = ds.replace_columns({"Y": np.full(n, 2.5)})
+            reports = run_verification_suite(ds, "Y", "X1", ["X2"])
+            assert [r.claim for r in reports] == SUITE_CLAIMS_ONE_CONTROL
+            assert all(r.passed for r in reports)
+            assert reports[0] == verify_residualized_slope(
+                ds, "Y", "X1", ["X2"])
+            a1, a2, c12, c21 = (fit_simple(ds, y, x).slopes[0] for y, x in (
+                ("Y", "X1"), ("Y", "X2"), ("X1", "X2"), ("X2", "X1")))
+            b1, b2 = fit(ds, "Y", ["X1", "X2"]).slopes
+            r = pearson_r(ds, "X1", "X2")
+            relations = reports[3]
+            assert relations.claim == "two_predictor_slope_relations"
+            assert relations.lhs == (b1 * c12, b2 * c21, c12 * c21)
+            assert relations.rhs == (a2 - b2, a1 - b1, r * r)

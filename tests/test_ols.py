@@ -26,7 +26,13 @@ from partialreg import (
     residualize,
     residuals,
 )
-from partialreg.ols import _TILE_ROWS, CONDITION_LIMIT, _factor, _solve
+from partialreg.ols import (
+    _LEAF_ROWS,
+    _TILE_ROWS,
+    CONDITION_LIMIT,
+    _factor,
+    _solve,
+)
 
 D1_COEFFICIENTS = (Fraction(4, 33), Fraction(15, 11), Fraction(4, 11))
 D1_SIMPLE_X1 = (Fraction(4, 15), Fraction(59, 35))
@@ -216,7 +222,9 @@ class TestFitSimple:
         assert want == Fraction(11, 7)
 
 
-TILE_EDGES = (_TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1, 3 * _TILE_ROWS + 5)
+TILE_EDGES = (_LEAF_ROWS - 1, _LEAF_ROWS, _LEAF_ROWS + 1, _TILE_ROWS - 1,
+              _TILE_ROWS, _TILE_ROWS + 1, _TILE_ROWS + _LEAF_ROWS + 1,
+              3 * _TILE_ROWS + 5)
 
 
 class TestRowTiles:
@@ -270,8 +278,11 @@ class TestRowTiles:
         assert np.max(np.abs(residuals(fitted, ds))) <= 1e-9
 
     def test_one_tile_per_qr_and_no_design_svd(self, monkeypatch):
-        n, k = 3 * _TILE_ROWS + 5, 3
-        ds = random_dataset(np.random.default_rng(11), n=n, k=k)
+        k, width = 3, 5
+        cases = [(random_dataset(np.random.default_rng(11), n=n, k=k),
+                  leaf_stacks, ragged) for n, leaf_stacks, ragged in [
+                      (3 * _TILE_ROWS + 5, [8, 8, 8], [5]),
+                      (_TILE_ROWS + _LEAF_ROWS + 1, [8, 1], [1])]]
         linalg = partialreg.ols.np.linalg
         qr_shapes, svd_shapes = [], []
 
@@ -288,10 +299,29 @@ class TestRowTiles:
         monkeypatch.setattr(linalg, "cond", forbidden)
         monkeypatch.setattr(linalg, "qr", recorded(linalg.qr, qr_shapes))
         monkeypatch.setattr(linalg, "svd", recorded(linalg.svd, svd_shapes))
-        fit(ds, "Y", predictor_names(k))
-        assert [rows for rows, _ in qr_shapes[:-1]] == [_TILE_ROWS] * 3 + [5]
-        assert qr_shapes[-1] == (4 * (k + 2), k + 2)
-        assert svd_shapes == [(k + 1, k + 1)]
+        for ds, leaf_stacks, ragged in cases:
+            qr_shapes[:], svd_shapes[:] = [], []
+            fit(ds, "Y", predictor_names(k))
+            # Each tile's full leaves in one stacked QR, then the ragged rest.
+            assert qr_shapes[:-1] == [
+                *((leaves, _LEAF_ROWS, width) for leaves in leaf_stacks),
+                *((rows, width) for rows in ragged)]
+            r_rows = (width * sum(leaf_stacks)
+                      + sum(min(rows, width) for rows in ragged))
+            assert qr_shapes[-1] == (r_rows, width)
+            assert all(np.prod(shape[:-1]) <= _TILE_ROWS
+                       for shape in qr_shapes)
+            assert svd_shapes == [(k + 1, k + 1)]
+
+    @pytest.mark.parametrize("n", [3, 40, _LEAF_ROWS - 1])
+    def test_under_one_leaf_is_one_qr_of_the_rows(self, n):
+        # Fewer rows than a leaf: the R of the R of the whole design, the
+        # arithmetic of every fit this small since the pass was tiled.
+        ds = random_dataset(np.random.default_rng(n), n=n, k=3)
+        names = [*predictor_names(3), "Y"]
+        design = np.column_stack([np.ones(n), *map(ds.column, names)])
+        want = np.linalg.qr(np.linalg.qr(design, mode="r"), mode="r")
+        assert np.array_equal(_factor(ds, names), want)
 
 
 def assert_matches_oracle(fitted, response, predictors):
