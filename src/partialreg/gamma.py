@@ -39,9 +39,9 @@ from .errors import (
     NumericalOvershoot,
     ZeroLeadSlope,
 )
-from .ols import RegressionFit, _factor, _solve, fit
+from .ols import RegressionFit, fit
 from .stats import _central_moments
-from .transform import _combination
+from .transform import _residualized, residualize_with
 
 __all__ = [
     "DENOMINATOR_FLOOR",
@@ -159,10 +159,10 @@ def combined_slope(ds: Dataset, response: str, x1: str,
                    gammas: Sequence[float]) -> float:
     """Slope of ``response`` on ``x1 - sum_j gammas[j] * controls[j]``.
 
-    The general-k companion of :func:`slope_on_gamma`, computed directly on
-    the combined column rather than through precomputed moments.  With one
-    control the two agree to rounding; cross-checking them is a test, so
-    they intentionally do not share arithmetic.
+    The general-k companion of :func:`slope_on_gamma`, read from the moments
+    of the column ``residualize_with`` builds, not from the rational
+    function.  With one control the two agree to rounding; cross-checking
+    them is a test, so they share the moment routine, not the formula.
     """
     controls = list(controls)
     gammas = [float(g) for g in gammas]
@@ -170,27 +170,26 @@ def combined_slope(ds: Dataset, response: str, x1: str,
         raise LengthMismatch(
             f"{len(controls)} controls but {len(gammas)} gammas")
     moments = _central_moments(ds, [x1, *controls])[1]
-    return _combined_slope(ds, response, x1, controls, gammas,
+    residual = residualize_with(ds, x1, controls, gammas)
+    return _combined_slope(residual.merged_into(ds), response, residual,
                            [moments[i][i] for i in range(len(moments))])
 
 
-def _combined_slope(ds: Dataset, response: str, x1: str, controls: list[str],
-                    gammas: list[float], variances: list[float]) -> float:
-    """:func:`combined_slope` given the variances of ``[x1, *controls]``,
+def _combined_slope(augmented: Dataset, response: str, residual,
+                    variances: list[float]) -> float:
+    """Slope of ``response`` on the ``ResidualizedVariable`` that
+    ``augmented`` holds, given the variances of ``[target, *controls]``,
     the scale of its constant-predictor floor."""
-    column = _combination(ds, [x1, *controls], [1.0, *(-g for g in gammas)])
     scale = variances[0]
-    for variance, g in zip(variances[1:], gammas):
+    for variance, g in zip(variances[1:], residual.control_coefficients):
         scale += (g * g) * variance
-    deviations = column - column.mean()
-    denominator = float(np.mean(deviations * deviations))
-    if denominator <= DENOMINATOR_FLOOR * scale:
+    cross = _central_moments(augmented, [residual.name, response])[1]
+    if cross[0][0] <= DENOMINATOR_FLOOR * scale:
         raise DegenerateDirection(
-            f"{x1} - {gammas}*{controls} is constant "
-            f"(variance {denominator!r})")
-    y = ds.column(response)
-    numerator = float(np.mean(deviations * (y - y.mean())))
-    return numerator / denominator
+            f"{residual.target} - {list(residual.control_coefficients)}*"
+            f"{list(residual.controls)} is constant "
+            f"(variance {cross[0][0]!r})")
+    return cross[0][1] / cross[0][0]
 
 
 def gamma_roots(ds: Dataset, response: str, x1: str, x2: str
@@ -336,29 +335,26 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
     The value at ``(g2, g3)`` is the simple-regression slope of
     ``response`` on ``x1 - g2*controls[0] - g3*controls[1]``; at
     ``(c12, c13)``, the slopes of ``x1`` on the controls, it equals the
-    three-predictor multiple slope ``b1``, and that point is carried as
-    the surface's root annotation.  ``b1`` and the root come from one pass
-    over the rows of ``[x1, *controls, response]``, and the values and the
-    variance scale of the root check from one moment call.  Points are
-    row-major: ``gamma3`` varies fastest.  More than
-    :data:`MAX_GRID_POINTS` points raise :class:`GridTooLarge`.
+    three-predictor multiple slope ``b1``, and that point is the surface's
+    root annotation.  ``b1``, the root and x1* come from one pass over the
+    rows, the values from one moment call, and the root check is the
+    residualized-slope claim at the root.  Points are row-major: ``gamma3``
+    varies fastest.  More than :data:`MAX_GRID_POINTS` raise GridTooLarge.
     """
     controls = list(controls)
     if len(controls) != 2:
         raise LengthMismatch(
             f"surface needs exactly 2 controls, got {len(controls)}")
-    x2, x3 = controls
     grid2, grid3 = _checked_grid(gammas2), _checked_grid(gammas3)
     if grid2.size * grid3.size > MAX_GRID_POINTS:
         raise GridTooLarge(f"{grid2.size} x {grid3.size} surface has more "
                            f"than {MAX_GRID_POINTS} points")
-    names = [x1, x2, x3, response]
-    r = _factor(ds, names)
-    reference_slope = _solve(r, names, 3, range(3)).slopes[0]
-    root = _solve(r, names, 0, (1, 2)).slopes
-    moments = _central_moments(ds, [response, x1, x2, x3])[1]
-    _check_root(_combined_slope(ds, response, x1, controls, list(root),
+    # Moments first, so x1* is not alive while they center four columns.
+    moments = _central_moments(ds, [response, x1, *controls])[1]
+    _, full, residual, augmented = _residualized(ds, response, x1, controls)
+    root = residual.control_coefficients
+    _check_root(_combined_slope(augmented, response, residual,
                                 [moments[i][i] for i in (1, 2, 3)]),
-                reference_slope, root)
+                full.slopes[0], root)
     return _tabulate(moments, ("gamma", "gamma3"), (grid2, grid3),
-                     reference_slope, (root,))
+                     full.slopes[0], (root,))

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .ols import _factor, _simple_from_moments, _solve
 from .stats import _central_moments, _correlations, _multiple_correlation
-from .transform import build_transform, map_coefficients, residualize_with
+from .transform import _residualized, build_transform, map_coefficients
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -123,20 +123,6 @@ def _claim_name(control_count: int) -> str:
     if control_count == 2:
         return "residualized_slope_two_controls"
     return "residualized_slope_many_controls"
-
-
-def _residualized(ds: Dataset, response: str, x1: str, controls: list[str]):
-    """The R of ``[x1, *controls, response]``, the full fit on it, x1* and
-    the data augmented with x1*."""
-    union = [x1, *controls, response]
-    r = _factor(ds, union)
-    full = _solve(r, union, len(controls) + 1, range(len(controls) + 1))
-    aux = _solve(r, union, 0, range(1, len(controls) + 1))
-    name = x1 + "*"
-    while name in ds:  # e.g. residualize's own CSV already holds x1*
-        name += "*"
-    residual = residualize_with(ds, x1, controls, aux.slopes, name)
-    return r, full, residual, residual.merged_into(ds)
 
 
 def _residualized_report(full, residual, means, cross,

@@ -15,6 +15,8 @@ round trip is what :func:`map_coefficients` is for.
 
 One routine builds every combined column, residualized, transformed or fed
 to ``gamma.combined_slope``, so equal weights give equal bits on every route.
+``_residualized`` is the one construction of x1*, the paper's new variable:
+the suite and ``gamma_surface`` read b1, x1* and its slopes from one R.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     SingularTransform,
 )
-from .ols import fit
+from .ols import _factor, _solve, fit
 
 __all__ = [
     "INVERSE_RESIDUAL_LIMIT",
@@ -142,8 +144,8 @@ class ResidualizedVariable:
     ``values = target - sum_j control_coefficients[j] * controls[j]``.  Only the
     slope pieces are subtracted; the intercept of the auxiliary regression
     is deliberately left in, so the residualized variable keeps a nonzero
-    mean in general.  ``name`` defaults to the target's name plus ``*``;
-    ``values`` is checked and frozen like a :class:`Dataset` column.
+    mean in general; it merges in as column ``name``.  ``values`` is
+    checked and frozen like a :class:`Dataset` column.
     """
 
     name: str
@@ -172,7 +174,7 @@ def residualize(ds: Dataset, target: str, controls: Sequence[str],
 
     The subtracted multiples are the slopes of the least-squares fit of
     ``target`` on ``controls``, so the result is uncorrelated with every
-    control (up to rounding).
+    control (up to rounding); ``name`` defaults as in :func:`residualize_with`.
 
     Raises
     ------
@@ -200,16 +202,31 @@ def residualize_with(ds: Dataset, target: str, controls: Sequence[str],
 
     No orthogonality is implied: this is the tool for sweeping arbitrary
     coefficients, with :func:`residualize` as the special case that picks
-    the fitted ones.
+    the fitted ones.  ``name`` defaults to the first of ``target*``,
+    ``target**``, ... not in ``ds``, so the result merges into ``ds``.
     """
     controls = tuple(controls)
     ds.require(target, *controls)
     coefficients = tuple(float(c) for c in coefficients)
     values = _combination(ds, [target, *controls],
                           [1.0, *(-c for c in coefficients)])
+    if name is None:
+        name = target + "*"
+        while name in ds:
+            name += "*"
     # The constructor checks that the two lengths agree.
-    return ResidualizedVariable(target + "*" if name is None else name,
-                                target, controls, coefficients, values)
+    return ResidualizedVariable(name, target, controls, coefficients, values)
+
+
+def _residualized(ds: Dataset, response: str, x1: str, controls: list[str]):
+    """The R of ``[x1, *controls, response]``, the full fit on it, x1* from
+    the auxiliary slopes on that same R, and ``ds`` augmented with x1*."""
+    union = [x1, *controls, response]
+    r = _factor(ds, union)
+    full = _solve(r, union, len(controls) + 1, range(len(controls) + 1))
+    aux = _solve(r, union, 0, range(1, len(controls) + 1))
+    residual = residualize_with(ds, x1, controls, aux.slopes)
+    return r, full, residual, residual.merged_into(ds)
 
 
 def build_transform(k: int, target_index: int,

@@ -8,6 +8,7 @@ import pytest
 import partialreg.cli
 import partialreg.identities
 import partialreg.ols
+import partialreg.transform
 from helpers import random_dataset, rescaled_x1_dataset, spy_moment_calls
 from partialreg import (
     ZeroLeadSlope,
@@ -149,6 +150,20 @@ class TestResidualizeCommand:
         capsys.readouterr()
         assert len(calls) == d1.n + 1
 
+    def test_runs_on_its_own_csv_output(self, capsys, tmp_path, d1_csv):
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        argv = ["--target", "X1", "--controls", "X2"]
+        assert main(["residualize", "--input", d1_csv, *argv, "--format",
+                     "csv", "--output", str(once)]) == EXIT_OK
+        assert main(["residualize", "--input", str(once), *argv, "--format",
+                     "csv", "--output", str(twice)]) == EXIT_OK
+        assert twice.read_text().splitlines()[0].endswith("X1*,X1**")
+        merged = load_csv(twice)
+        assert np.array_equal(merged.column("X1**"), merged.column("X1*"))
+        code, doc = run_json(capsys, ["residualize", "--input", str(once),
+                                      *argv])
+        assert code == EXIT_OK
+        assert doc["results"]["name"] == "X1**"
 
     def test_target_among_controls_gets_an_envelope(self, capsys, d1_csv):
         code, doc = run_json(capsys, [
@@ -375,6 +390,7 @@ class TestReportCommand:
             return factor(ds, names)
 
         monkeypatch.setattr(partialreg.ols, "_factor", counting_factor)
+        monkeypatch.setattr(partialreg.transform, "_factor", counting_factor)
         monkeypatch.setattr(partialreg.identities, "_factor",
                             counting_factor)
         argv = ["--input", d1_extended_csv, "--response", "Y", "--x1", "X1",

@@ -15,6 +15,7 @@ from helpers import (
 )
 import partialreg.gamma
 import partialreg.ols
+import partialreg.transform
 from partialreg import (
     Dataset,
     DegenerateDirection,
@@ -31,8 +32,10 @@ from partialreg import (
     gamma_surface,
     gamma_sweep,
     grid_points,
+    residualize,
     residualize_with,
     slope_on_gamma,
+    verify_residualized_slope,
 )
 from partialreg.ols import _factor, _solve
 
@@ -203,16 +206,17 @@ class TestCombinedSlope:
         with pytest.raises(DegenerateDirection):
             combined_slope(ds, "Y", "X1", ["X2", "X3"], [1.0, 1.0])
 
-    def test_one_moment_call(self, monkeypatch, d1_extended):
+    def test_scale_and_slope_moment_calls(self, monkeypatch, d1_extended):
         calls = spy_moment_calls(monkeypatch)
         combined_slope(d1_extended, "Y", "X1", ["X2", "X3"], [0.5, -0.25])
-        assert calls == [["X1", "X2", "X3"]]
+        assert calls == [["X1", "X2", "X3"], ["X1*", "Y"]]
 
-    def test_surface_makes_one_moment_call(self, monkeypatch, d1_extended):
+    def test_surface_grid_and_root_check_moment_calls(self, monkeypatch,
+                                                      d1_extended):
         calls = spy_moment_calls(monkeypatch)
         gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"], [0.0, 1.0],
                       [-1.0, 0.5])
-        assert calls == [["Y", "X1", "X2", "X3"]]
+        assert calls == [["Y", "X1", "X2", "X3"], ["X1*", "Y"]]
 
 
 class TestGammaRoots:
@@ -436,9 +440,40 @@ class TestGammaSurface:
             return factor(ds, names)
 
         monkeypatch.setattr(partialreg.ols, "_factor", counting_factor)
-        monkeypatch.setattr(partialreg.gamma, "_factor", counting_factor)
+        monkeypatch.setattr(partialreg.transform, "_factor", counting_factor)
         gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"], [0.0], [0.0])
         assert passes == [["X1", "X2", "X3", "Y"]]
+
+    def test_root_check_is_the_residualized_slope_claim(self, d1_extended):
+        # One construction of x1*: at the surface root, combined_slope, the
+        # residualized-slope claim and fit_simple on the merged column read
+        # the same column and the same moments.
+        rng = np.random.default_rng(43)
+        controls = ["X2", "X3"]
+        for ds in [d1_extended, *(random_dataset(rng, n=int(rng.integers(
+                8, 300)), k=3) for _ in range(20))]:
+            (root,) = gamma_surface(ds, "Y", "X1", controls, [0.0],
+                                    [0.0]).roots
+            residual = residualize_with(ds, "X1", controls, root)
+            slopes = {
+                combined_slope(ds, "Y", "X1", controls, root),
+                verify_residualized_slope(ds, "Y", "X1", controls).rhs[0],
+                fit_simple(residual.merged_into(ds), "Y",
+                           residual.name).slopes[0]}
+            assert len(slopes) == 1, slopes
+
+    def test_data_already_holding_x1_star(self, d1_extended):
+        rng = np.random.default_rng(47)
+        controls = ["X2", "X3"]
+        grid = [-1.0, 0.0, 0.75]
+        for ds in [d1_extended, *(random_dataset(rng, n=30, k=3)
+                                  for _ in range(4))]:
+            held = residualize(ds, "X1", controls).merged_into(ds)
+            assert gamma_surface(held, "Y", "X1", controls, grid, grid) \
+                == gamma_surface(ds, "Y", "X1", controls, grid, grid)
+            for gammas in ([0.5, -0.25], [0.0, 1.5]):
+                assert combined_slope(held, "Y", "X1", controls, gammas) \
+                    == combined_slope(ds, "Y", "X1", controls, gammas)
 
     def test_closed_form_matches_data_route(self):
         # Offsets and unit changes must cost the moment closed form no

@@ -5,6 +5,7 @@ import pytest
 
 import partialreg.identities
 import partialreg.ols
+import partialreg.transform
 from helpers import (
     predictor_names,
     random_dataset,
@@ -330,6 +331,7 @@ class TestRunVerificationSuite:
             return factor(ds, names)
 
         monkeypatch.setattr(partialreg.ols, "_factor", counting_factor)
+        monkeypatch.setattr(partialreg.transform, "_factor", counting_factor)
         monkeypatch.setattr(partialreg.identities, "_factor",
                             counting_factor)
 
@@ -362,8 +364,8 @@ class TestRunVerificationSuite:
             residuals.append(residualize_with(*args))
             return residuals[-1]
 
-        residualize_with = partialreg.identities.residualize_with
-        monkeypatch.setattr(partialreg.identities, "residualize_with",
+        residualize_with = partialreg.transform.residualize_with
+        monkeypatch.setattr(partialreg.transform, "residualize_with",
                             spy_residualize_with)
         self.spy_passes(monkeypatch, passes)
         run_verification_suite(d1_extended, "Y", "X1", ["X2", "X3"])
@@ -398,6 +400,8 @@ class TestRunVerificationSuite:
         assert all(r.passed for r in run_verification_suite(
             ds, "Y", "X1", controls))
         monkeypatch.setattr(partialreg.ols, "_factor", without_last_tile)
+        monkeypatch.setattr(partialreg.transform, "_factor",
+                            without_last_tile)
         monkeypatch.setattr(partialreg.identities, "_factor",
                             without_last_tile)
         first = run_verification_suite(ds, "Y", "X1", controls)[0]

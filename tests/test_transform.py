@@ -11,6 +11,7 @@ import partialreg.transform
 from partialreg import (
     CollinearPredictors,
     Dataset,
+    DuplicateColumn,
     IndexOutOfRange,
     LengthMismatch,
     PredictorTransform,
@@ -138,6 +139,18 @@ class TestResidualize:
         res = residualize(d1, "X1", ["X2"], name="adj")
         assert res.name == "adj"
         assert "adj" in res.merged_into(d1)
+
+    def test_default_name_is_the_first_free_one(self, d1):
+        merged = residualize(d1, "X1", ["X2"]).merged_into(d1)
+        again = residualize(merged, "X1", ["X2"])
+        assert again.name == "X1**"
+        assert again.merged_into(merged).names[-2:] == ("X1*", "X1**")
+        assert residualize_with(merged, "X1", ["X2"], [0.5]).name == "X1**"
+        # An explicit name is kept as given, and collides at the merge.
+        res = residualize(merged, "X1", ["X2"], name="X1*")
+        assert res.name == "X1*"
+        with pytest.raises(DuplicateColumn):
+            res.merged_into(merged)
 
     def test_values_match_oracle_residuals_plus_intercept(self, d1):
         # X1* differs from the auxiliary fit's residuals by exactly that
@@ -355,8 +368,8 @@ class TestOneCombinedColumn:
             assert np.array_equal(transformed.column("X1"), want)
             deviations = want - want.mean()
             y = ds.column("Y")
-            slope = (float(np.mean(deviations * (y - y.mean())))
-                     / float(np.mean(deviations * deviations)))
+            slope = ((np.dot(deviations, y - y.mean()) / ds.n)
+                     / (np.dot(deviations, deviations) / ds.n))
             assert combined_slope(ds, "Y", "X1", names[1:],
                                   coefficients) == slope
 
