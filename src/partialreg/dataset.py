@@ -25,13 +25,17 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def _freeze(values: Iterable[float], name: str, n: int | None) -> np.ndarray:
+def _freeze(values: Iterable[float], name: str, n: int | None,
+            scanned: bool = False) -> np.ndarray:
+    """``values`` as a checked, frozen column.  ``scanned`` vouches that
+    ``values`` is an array this check has already passed, so the O(n)
+    scan for non-finite values is not repeated."""
     if not isinstance(name, str) or not name:
         raise ValueError("column names must be non-empty strings")
     arr = _frozen(values)
     if arr.ndim != 1:
         raise ValueError(f"column {name!r} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
+    if not scanned and not np.all(np.isfinite(arr)):
         raise ValueError(f"column {name!r} contains a non-finite value")
     if n is not None and arr.size != n:
         raise LengthMismatch(
@@ -125,22 +129,27 @@ class Dataset:
 
     def with_column(self, name: str, values: Iterable[float]) -> "Dataset":
         """Return a new dataset with ``values`` appended under ``name``."""
+        return self._appended(name, values, scanned=False)
+
+    def _appended(self, name: str, values: Iterable[float],
+                  scanned: bool) -> "Dataset":
+        """:meth:`with_column`; with ``scanned``, ``values`` is a column a
+        ``_freeze`` call has already checked (as a ``ResidualizedVariable``'s
+        values are), so it is not scanned for non-finite values again."""
         if name in self._columns:
             raise DuplicateColumn(f"column {name!r} already exists")
-        return self._derive({name: values})
+        return self._derive({name: _freeze(values, name, self._n, scanned)})
 
     def replace_columns(self, replacements: Mapping[str, Iterable[float]]
                         ) -> "Dataset":
         """Return a new dataset with the named columns' values swapped out."""
         self.require(*replacements)
-        return self._derive({name: replacements[name] for name in self._names
-                             if name in replacements})
+        return self._derive({name: _freeze(replacements[name], name, self._n)
+                             for name in self._names if name in replacements})
 
-    def _derive(self, fresh: Mapping[str, Iterable[float]]) -> "Dataset":
-        # Arrays already here are frozen and valid: only ``fresh`` is checked.
-        columns = dict(self._columns)
-        for name, values in fresh.items():
-            columns[name] = _freeze(values, name, self._n)
+    def _derive(self, fresh: Mapping[str, np.ndarray]) -> "Dataset":
+        # Arrays already here are frozen and valid; ``fresh`` ones are too.
+        columns = {**self._columns, **fresh}
         derived = object.__new__(Dataset)
         derived._names = tuple(columns)
         derived._columns = columns

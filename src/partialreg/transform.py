@@ -21,6 +21,7 @@ the suite and ``gamma_surface`` read b1, x1* and its slopes from one R.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .errors import (
     IndexOutOfRange,
     LengthMismatch,
     ShapeMismatch,
+    SingularDesign,
     SingularTransform,
 )
 from .ols import _factor, _solve, fit
@@ -57,13 +59,26 @@ _SINGULAR_FLOOR = 1e-12
 def _combination(ds: Dataset, names: Sequence[str],
                  weights: Sequence[float]) -> np.ndarray:
     """``sum_i weights[i] * column(names[i])`` over the nonzero weights, in
-    order, as a new frozen array; ``1.0*x + (-c)*y`` rounds as ``x - c*y``."""
+    order, as a new frozen array; ``1.0*x + (-c)*y`` rounds as ``x - c*y``.
+
+    Raises :class:`SingularDesign` if a product or partial sum overflows
+    the double range.  With finite columns and weights that is the only way
+    to a non-finite value, and the floating-point flags tell it without a
+    scan of the column.
+    """
     (w, name), *rest = [(w, name) for name, w in zip(names, weights)
                         if w != 0.0]
-    column = w * ds.column(name)
-    term = np.empty_like(column) if rest else None
-    for w, name in rest:
-        column += np.multiply(w, ds.column(name), out=term)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            column = w * ds.column(name)
+            term = np.empty_like(column) if rest else None
+            for w, name in rest:
+                column += np.multiply(w, ds.column(name), out=term)
+    except FloatingPointError:
+        raise SingularDesign(
+            f"the combination of {list(names)} with weights "
+            f"{[float(w) for w in weights]} overflows the double range"
+        ) from None
     column.setflags(write=False)
     return column
 
@@ -164,8 +179,8 @@ class ResidualizedVariable:
 
     def merged_into(self, ds: Dataset) -> Dataset:
         """Return ``ds`` with this variable appended as a column: the frozen
-        ``values`` array itself, not a copy."""
-        return ds.with_column(self.name, self.values)
+        ``values`` array itself, not a copy, and not scanned again."""
+        return ds._appended(self.name, self.values, scanned=True)
 
 
 def residualize(ds: Dataset, target: str, controls: Sequence[str],
@@ -204,10 +219,19 @@ def residualize_with(ds: Dataset, target: str, controls: Sequence[str],
     coefficients, with :func:`residualize` as the special case that picks
     the fitted ones.  ``name`` defaults to the first of ``target*``,
     ``target**``, ... not in ``ds``, so the result merges into ``ds``.
+
+    Raises
+    ------
+    ValueError
+        If a coefficient is not finite.
+    SingularDesign
+        If the combined column overflows the double range.
     """
     controls = tuple(controls)
     ds.require(target, *controls)
     coefficients = tuple(float(c) for c in coefficients)
+    if not all(map(math.isfinite, coefficients)):
+        raise ValueError(f"coefficients must be finite, got {coefficients}")
     values = _combination(ds, [target, *controls],
                           [1.0, *(-c for c in coefficients)])
     if name is None:

@@ -11,6 +11,7 @@ import partialreg.ols
 import partialreg.transform
 from helpers import random_dataset, rescaled_x1_dataset, spy_moment_calls
 from partialreg import (
+    Dataset,
     ZeroLeadSlope,
     fit,
     fit_simple,
@@ -164,6 +165,49 @@ class TestResidualizeCommand:
                                       *argv])
         assert code == EXIT_OK
         assert doc["results"]["name"] == "X1**"
+
+    @pytest.fixture()
+    def mixed_csv(self, tmp_path):
+        # Cells on both sides of %g's switch to exponent notation (1e-4),
+        # zeros and integers.
+        rng = np.random.default_rng(23)
+        n = 700
+        x2 = rng.normal(scale=1e3, size=n)
+        x3 = rng.integers(-5, 6, size=n).astype(float)
+        x1 = 1e-3 * rng.normal(size=n) + 1e-7 * x2 - 1e-4 * x3
+        y = x1 + x2 + rng.normal(scale=1e-9, size=n)
+        x1[::50] = 0.0
+        path = tmp_path / "mixed.csv"
+        save_csv(Dataset({"X1": x1, "X2": x2, "X3": x3, "Y": y}), path)
+        return path
+
+    def test_json_values_are_the_csv_cells(self, capsys, tmp_path,
+                                            mixed_csv):
+        argv = ["residualize", "--input", str(mixed_csv), "--target", "X1",
+                "--controls", "X2,X3"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK
+        out_path = tmp_path / "res.csv"
+        assert main([*argv, "--format", "csv",
+                     "--output", str(out_path)]) == EXIT_OK
+        lines = out_path.read_text().splitlines()
+        assert lines[0] == "X1,X2,X3,Y,X1*"
+        cells = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
+        assert doc["results"]["values"] == cells
+
+    def test_own_output_reproduces_the_input_bytes(self, tmp_path,
+                                                   mixed_csv):
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        argv = ["--target", "X1", "--controls", "X2,X3", "--format", "csv"]
+        assert main(["residualize", "--input", str(mixed_csv), *argv,
+                     "--output", str(once)]) == EXIT_OK
+        assert main(["residualize", "--input", str(once), *argv,
+                     "--output", str(twice)]) == EXIT_OK
+        source = mixed_csv.read_text().splitlines()
+        first = once.read_text().splitlines()
+        second = twice.read_text().splitlines()
+        assert [line.rsplit(",", 1)[0] for line in first] == source
+        assert [line.rsplit(",", 1)[0] for line in second] == first
 
     def test_target_among_controls_gets_an_envelope(self, capsys, d1_csv):
         code, doc = run_json(capsys, [

@@ -328,3 +328,62 @@ class TestWriteCsv:
         back = load_csv(path)
         for name in ds.names:
             assert back.column(name).tolist() == ds.column(name).tolist()
+
+
+def _adversarial_values(rng, size):
+    """Doubles that stress a 12-digit printer: every bit pattern, every
+    magnitude, ties and near-ties of the 12th digit, powers of ten and
+    their neighbours, the decade boundaries of fixed notation, zeros and
+    subnormals."""
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+    sign = rng.choice([-1.0, 1.0], size)
+    log_uniform = sign * 10.0 ** rng.uniform(-320, 308, size)
+    fixed = sign * 10.0 ** rng.uniform(-6, 13, size)  # mostly %g's fixed
+    mantissa = rng.integers(10**11, 10**12, size).astype(np.float64)
+    ties = (mantissa + 0.5) * 10.0 ** rng.integers(-15, 20, size)
+    powers = np.array([float(f"1e{p}") for p in range(-25, 26)])
+    edges = np.array([1e-5, 1e-4, 1e11, 1e12, 999999999999.5,
+                      99999999999.95, 0.0, -0.0, 5e-324,
+                      2.2250738585072014e-308, 1.7976931348623157e308])
+    exact = np.concatenate([log_uniform, fixed, ties, powers, edges])
+    with np.errstate(over="ignore"):  # past the largest double
+        neighbours = [np.nextafter(exact, np.inf), np.nextafter(exact, 0.0)]
+    values = np.concatenate([bits, exact, -exact, mantissa + 0.5, *neighbours])
+    return values[np.isfinite(values)]
+
+
+def _per_value(columns):
+    return "".join(",".join(format(v, ".12g") for v in row) + "\n"
+                   for row in zip(*columns))
+
+
+class TestBlockPrinter:
+    """``to_csv`` against Python's own ``format(v, ".12g")``, cell by cell."""
+
+    @pytest.mark.parametrize("rows", [
+        2, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS, _WRITE_BLOCK_ROWS + 1])
+    def test_adversarial_doubles(self, rows):
+        rng = np.random.default_rng(rows)
+        values = rng.permutation(_adversarial_values(rng, rows))
+        width = 5
+        columns = [values[j::width][:rows] for j in range(width)]
+        ds = Dataset({f"c{j}": column for j, column in enumerate(columns)})
+        assert to_csv(ds) == ",".join(ds.names) + "\n" + _per_value(columns)
+
+    @pytest.mark.parametrize("scale", [1e-7, 1e13], ids=["small", "large"])
+    def test_all_cells_in_exponent_notation(self, scale):
+        rng = np.random.default_rng(3)
+        columns = [scale * rng.uniform(1, 9, _WRITE_BLOCK_ROWS + 1)
+                   for _ in range(2)]
+        ds = Dataset({"a": columns[0], "b": columns[1]})
+        assert to_csv(ds) == "a,b\n" + _per_value(columns)
+
+    def test_fallback_and_fast_cells_mixed_in_one_row(self):
+        rng = np.random.default_rng(4)
+        fast = rng.normal(scale=1e3, size=_WRITE_BLOCK_ROWS + 1)
+        slow = rng.normal(scale=1e-9, size=fast.size)
+        mixed = np.where(rng.random(fast.size) < 0.5, fast, slow)
+        mixed[::97] = 0.0
+        columns = [fast, slow, mixed, -mixed]
+        ds = Dataset({f"c{j}": column for j, column in enumerate(columns)})
+        assert to_csv(ds) == "c0,c1,c2,c3\n" + _per_value(columns)

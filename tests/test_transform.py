@@ -7,6 +7,7 @@ import pytest
 
 import oracle
 from helpers import predictor_names, random_dataset
+import partialreg.dataset
 import partialreg.transform
 from partialreg import (
     CollinearPredictors,
@@ -25,10 +26,13 @@ from partialreg import (
     combined_slope,
     fit,
     fit_simple,
+    gamma_surface,
     map_coefficients,
     pearson_r,
     residualize,
     residualize_with,
+    run_verification_suite,
+    verify_residualized_slope,
 )
 
 # Exact residualized X1-on-X2 values for the worked dataset.
@@ -246,6 +250,11 @@ class TestResidualizeWith:
             d1, "X1", ["X2"], fitted.control_coefficients)
         assert np.array_equal(manual.values, fitted.values)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_coefficient_is_an_argument_error(self, d1, bad):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            residualize_with(d1, "X1", ["X2"], [bad])
+
 
 class TestBuildTransform:
     def test_unit_determinant(self):
@@ -372,6 +381,60 @@ class TestOneCombinedColumn:
                      / (np.dot(deviations, deviations) / ds.n))
             assert combined_slope(ds, "Y", "X1", names[1:],
                                   coefficients) == slope
+
+
+    # The suite runs with filterwarnings = ["error"], so a numpy overflow
+    # warning on the way would fail these before the typed error.
+    @pytest.mark.parametrize("build", [
+        lambda ds: combined_slope(ds, "Y", "X1", ["X2", "X3"],
+                                  [1e308, -1e308]),
+        lambda ds: residualize_with(ds, "X1", ["X2", "X3"], [1e308, -1e308]),
+        lambda ds: apply_transform(ds, ["X1", "X2"], PredictorTransform(
+            [[1e308, 0.0], [0.0, 1.0]])),
+    ], ids=["combined_slope", "residualize_with", "apply_transform"])
+    def test_overflow_is_a_singular_design(self, d1_extended, build):
+        with pytest.raises(SingularDesign, match="overflows the double range"):
+            build(d1_extended)
+
+
+class TestOneFinitenessScan:
+    """x1* is checked for non-finite values once, where it is built, and
+    attached to the dataset without a second scan."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        names = []
+        freeze = partialreg.dataset._freeze
+
+        def spy(values, name, n, scanned=False):
+            if not scanned:
+                names.append(name)
+            return freeze(values, name, n, scanned)
+
+        monkeypatch.setattr(partialreg.dataset, "_freeze", spy)
+        monkeypatch.setattr(partialreg.transform, "_freeze", spy)
+        return names
+
+    @pytest.mark.parametrize("call", [
+        lambda ds: run_verification_suite(ds, "Y", "X1", ["X2", "X3"]),
+        lambda ds: verify_residualized_slope(ds, "Y", "X1", ["X2", "X3"]),
+        lambda ds: residualize(ds, "X1", ["X2", "X3"]).merged_into(ds),
+        lambda ds: gamma_surface(ds, "Y", "X1", ["X2", "X3"], [0.0, 1.0],
+                                 [0.0, 1.0]),
+    ], ids=["suite", "verify_residualized_slope", "residualize",
+            "gamma_surface"])
+    def test_x1_star_is_scanned_once(self, scans, d1_extended, call):
+        call(d1_extended)
+        assert scans.count("X1*") == 1
+
+    def test_public_entry_points_still_scan(self, scans, d1):
+        before = len(scans)
+        residual = ResidualizedVariable("Z", "X1", ("X2",), (0.5,),
+                                        np.arange(6.0))
+        d1.with_column("W", residual.values)
+        d1.replace_columns({"X2": residual.values})
+        Dataset({"V": residual.values, "U": residual.values})
+        assert scans[before:] == ["Z", "W", "X2", "V", "U"]
 
 
 class TestMapCoefficients:
