@@ -74,13 +74,13 @@ _WRITE_BLOCK_ROWS = 4096
 # "%.12g" and its separator instead, for Python's ``%`` to fill in.
 _ROW = np.dtype("<u8")
 _ROW_BYTES = 32
-_SCALE = (10 ** np.arange(-2, 18).clip(0)).astype(np.float64)  # [k + 2]
+_SCALE = np.array([float(10 ** max(k, 0)) for k in range(-2, 18)])  # [k+2]
 _DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # of 0..9999
 _CODE = (np.ascontiguousarray(_DIGITS + ord("0")).view("<u4").ravel()
          .astype(_ROW))  # a group's 4 digit bytes
 # Significant digits a 4-digit group adds as D's first, second or third
 # group: trailing zeros of the last nonzero group are dropped.
-_SIGNIFICANT = ((_DIGITS != 0) * np.arange(1, 5)).max(axis=1)
+_SIGNIFICANT = ((_DIGITS != 0) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
 _SIGNIFICANT_AT = (_SIGNIFICANT, np.where(_SIGNIFICANT, _SIGNIFICANT + 4, 0),
                    np.where(_SIGNIFICANT, _SIGNIFICANT + 8, 0))
 _FIXED = np.frombuffer(b"-0" + bytes(12) + b".000" + bytes(12) + b",\0",
