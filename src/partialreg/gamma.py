@@ -351,7 +351,7 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
                            f"than {MAX_GRID_POINTS} points")
     # Moments first, so x1* is not alive while they center four columns.
     moments = _central_moments(ds, [response, x1, *controls])[1]
-    _, full, residual, augmented = _residualized(ds, response, x1, controls)
+    full, residual, augmented = _residualized(ds, response, x1, controls)
     root = residual.control_coefficients
     _check_root(_combined_slope(augmented, response, residual,
                                 [moments[i][i] for i in (1, 2, 3)]),

@@ -24,14 +24,13 @@ not noise.  The checks:
     Slopes of the fit on a predictor subset equal the full-model slopes
     contracted with the matrix of predictor-on-subset slopes.
 
-The suite makes two passes over the rows: ``[x1, *controls, y]`` (full,
-subset and auxiliary fits, the last giving x1*) and ``[x1*, *controls, y]``
-(refit and zero slopes).  Its moment route makes two moment passes: one over
-``[x1, *controls]`` (with one control, ``[x1, x2, y]``) for the collinearity
-gate and the one-control slope relations, and one over
-``[x1*, *controls, y]`` for the residualized slope and the multiple
-correlation of x1* with the controls.  Each identity compares with the
-moment route or another pass.
+The suite makes two passes over the rows: ``[x1, *controls, y]`` (the
+collinearity gate, and the full, subset and auxiliary fits, the last giving
+x1*) and ``[x1*, *controls, y]`` (refit and zero slopes).  Its moment route
+makes one moment pass over ``[x1*, *controls, y]`` for the residualized
+slope and the multiple correlation of x1* with the controls, and with one
+control one more over ``[x1, x2, y]`` for the slope relations.  Each
+identity compares with the moment route or another pass.
 """
 
 from __future__ import annotations
@@ -49,8 +48,9 @@ from .errors import (
     NonCanonicalSubsetRows,
     PartialRegError,
     ShapeMismatch,
+    SingularDesign,
 )
-from .ols import _factor, _simple_from_moments, _solve
+from .ols import CONDITION_LIMIT, _factor, _simple_from_moments, _solve
 from .stats import _central_moments, _correlations, _multiple_correlation
 from .transform import _residualized, build_transform, map_coefficients
 
@@ -151,7 +151,7 @@ def verify_residualized_slope(ds: Dataset, response: str, x1: str,
     controls = list(controls)
     if not controls:
         raise ValueError("need at least one control")
-    _, full, residual, augmented = _residualized(ds, response, x1, controls)
+    full, residual, augmented = _residualized(ds, response, x1, controls)
     return _residualized_report(full, residual, *_central_moments(
         augmented, [residual.name, response]), tolerance)
 
@@ -258,10 +258,45 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
         (``|pearson_r| >= 1 - 1e-12``), or if ``response`` is ``x1``; no
         report is produced because no claim is well posed in that case.
     SingularDesign
-        Propagated from an inner fit, annotated with the claim it arose
-        in.
+        If a predictor is constant (to working precision: its centered
+        part is at most 1e-12 of its mean part) or the data overflow the
+        double range, before any claim; otherwise propagated from an inner
+        fit, annotated with the claim it arose in.
     """
     return _suite(ds, response, x1, controls, tolerance)[0]
+
+
+def _predictor_correlations(r: np.ndarray, response: str,
+                            names: list[str]) -> np.ndarray:
+    """Correlation matrix of the predictors ``names`` from the R of
+    ``[1, *names, response]``.
+
+    Column j of R is predictor j's column rotated by Q', and its first
+    entry is sqrt(n) times the predictor's mean, so the Gram matrix of the
+    block ``R[1:k+1, 1:k+1]`` is n times the predictors' centered cross
+    moments (Björck 1996).
+
+    Raises :class:`SingularDesign` if R or that Gram matrix overflows the
+    double range, or if a predictor's centered part is at most
+    1/CONDITION_LIMIT of its mean part, which puts the design's condition
+    above the limit.
+    """
+    design = f"{response!r} ~ {names}"
+    overflow = f"design for {design} overflows the double range"
+    if not np.all(np.isfinite(r)):
+        raise SingularDesign(overflow)
+    block = r[1:len(names) + 1, 1:len(names) + 1]
+    with np.errstate(over="ignore"):
+        cross = block.T @ block
+    if not np.all(np.isfinite(cross)):
+        raise SingularDesign(overflow)
+    for j, name in enumerate(names):
+        if math.sqrt(cross[j, j]) * CONDITION_LIMIT <= abs(r[0, j + 1]):
+            raise SingularDesign(
+                f"column {name!r} is constant to working precision, so the "
+                f"design for {design} has condition above "
+                f"{CONDITION_LIMIT:.0e}")
+    return _correlations(cross.tolist(), names)
 
 
 def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
@@ -272,10 +307,8 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
     if not controls:
         raise ValueError("need at least one control")
     names = [x1, *controls]
-    # One control: the slope relations read the response's moments too.
-    means, cross = _central_moments(
-        ds, [*names, response] if len(controls) == 1 else names)
-    corr = _correlations(cross, names)
+    r_raw = _factor(ds, [*names, response])
+    corr = _predictor_correlations(r_raw, response, names)
     for i, j in zip(*np.triu_indices(len(names), 1)):
         r = float(corr[i, j])
         if abs(r) >= 1.0 - 1e-12:
@@ -288,8 +321,10 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
             f"would rewrite it")
 
     with _tag_claim(_claim_name(len(controls))):
-        r_raw, full, residual, augmented = _residualized(
-            ds, response, x1, controls)
+        full, residual, augmented = _residualized(
+            ds, response, x1, controls, r_raw)
+        if len(controls) == 1:  # the slope relations' moments
+            means, cross = _central_moments(ds, [*names, response])
         union = [residual.name, *controls, response]
         star_means, star_cross = _central_moments(augmented, union)
         reports = [_residualized_report(full, residual, star_means,
@@ -325,7 +360,7 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
                 for y, x, name in ((2, 0, x1), (2, 1, x2), (0, 1, x2),
                                    (1, 0, x1)))
             b1, b2 = full.slopes
-            r = float(corr[0, 1])
+            r = float(_correlations(cross, names)[0, 1])
             reports.append(_report(
                 "two_predictor_slope_relations",
                 (b1 * c12, b2 * c21, c12 * c21),

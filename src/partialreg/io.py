@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import math
 import os
 from io import BytesIO, StringIO, TextIOWrapper
@@ -62,8 +63,8 @@ _NUMBER_FORMAT = ".12g"  # 12 significant digits, the printing fixpoint
 _PLAIN_BYTES = b"0123456789+-.eE, \n"
 _WRITE_BLOCK_ROWS = 4096
 
-# The block printer's tables.  A cell is laid out in a 32-byte row, read
-# as four little-endian 64-bit words:
+# The block printer's tables, built by ``_tables`` on first use.  A cell is
+# laid out in a 32-byte row, read as four little-endian 64-bit words:
 #   "-0" d0..d11 ".000" d0..d11 sep pad
 # where d0..d11 are the digits of its 12-digit mantissa D.  Which bytes a
 # cell keeps depends only on its sign, its decimal exponent e (-4..11)
@@ -75,24 +76,28 @@ _WRITE_BLOCK_ROWS = 4096
 _ROW = np.dtype("<u8")
 _ROW_BYTES = 32
 _SCALE = np.array([float(10 ** max(k, 0)) for k in range(-2, 18)])  # [k+2]
-_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # of 0..9999
-_CODE = (np.ascontiguousarray(_DIGITS + ord("0")).view("<u4").ravel()
-         .astype(_ROW))  # a group's 4 digit bytes
-# Significant digits a 4-digit group adds as D's first, second or third
-# group: trailing zeros of the last nonzero group are dropped.
-_SIGNIFICANT = ((_DIGITS != 0) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
-_SIGNIFICANT_AT = (_SIGNIFICANT, np.where(_SIGNIFICANT, _SIGNIFICANT + 4, 0),
-                   np.where(_SIGNIFICANT, _SIGNIFICANT + 8, 0))
-_FIXED = np.frombuffer(b"-0" + bytes(12) + b".000" + bytes(12) + b",\0",
-                       np.uint8).view(_ROW)
 _NEWLINE = np.array((ord(",") ^ ord("\n")) << 48, _ROW)  # word 3: , -> \n
 _SPEC = ("%" + _NUMBER_FORMAT).encode("ascii")
 _SPEC_WORD = np.frombuffer(_SPEC.ljust(8, b"\0"), _ROW)[0]
 
 
-def _keep_patterns() -> np.ndarray:
-    """The bytes a cell keeps: one 32-byte row per ``(sign, e + 4, s - 1)``
+@functools.cache
+def _tables():
+    """The layout tables: each 4-digit group's bytes as a word, the
+    significant digits it adds as D's first, second or third group (the
+    trailing zeros of the last nonzero group dropped), the fixed bytes of a
+    row, and the bytes a cell keeps: one row per ``(sign, e + 4, s - 1)``
     of a fixed-notation cell, then the row of a fallback cell."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # of 0..9999
+    code = (np.ascontiguousarray(digits + ord("0")).view("<u4").ravel()
+            .astype(_ROW))
+    significant = ((digits != 0) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
+    significant_at = (significant,
+                      np.where(significant, significant + 4, 0),
+                      np.where(significant, significant + 8, 0))
+    fixed = np.frombuffer(b"-0" + bytes(12) + b".000" + bytes(12) + b",\0",
+                          np.uint8).view(_ROW)
+
     sign = np.arange(2)[:, None, None, None]
     e = np.arange(-4, 12)[None, :, None, None]
     s = np.arange(1, 13)[None, None, :, None]
@@ -106,11 +111,8 @@ def _keep_patterns() -> np.ndarray:
             | ((0 <= second) & (second < 12) & (lo <= second) & (second < s))
             | (at == 30))
     fallback = (at < len(_SPEC)) | (at == 30)
-    return np.vstack([keep.reshape(-1, _ROW_BYTES), fallback]).view(_ROW)
-
-
-_KEEP = _keep_patterns()
-_FALLBACK = len(_KEEP) - 1
+    return code, significant_at, fixed, np.vstack(
+        [keep.reshape(-1, _ROW_BYTES), fallback]).view(_ROW)
 
 
 def format_number(value: float) -> str:
@@ -299,25 +301,26 @@ def _layout(x: np.ndarray, exponent: np.ndarray, mantissa: np.ndarray,
             slow: np.ndarray, width: int) -> bytes:
     """The text of the cells ``x`` in rows of ``width``, each fast cell
     printed and each ``slow`` one left as a ``%.12g`` spec."""
+    code_table, significant_at, fixed, keep_table = _tables()
     mantissa[slow] = 1e11
     high = np.floor(mantissa / 1e8)  # exact: D < 2**53, so no rounding up
     rest = mantissa - high * 1e8
     middle = np.floor(rest / 1e4)
     groups = [g.astype(np.intp) for g in (high, middle, rest - middle * 1e4)]
     significant = np.maximum.reduce(
-        [np.take(table, g) for table, g in zip(_SIGNIFICANT_AT, groups)])
+        [np.take(table, g) for table, g in zip(significant_at, groups)])
     pattern = (np.signbit(x) * 16 + exponent + 4) * 12 + significant - 1
-    pattern[slow] = _FALLBACK
-    keep = np.take(_KEEP, pattern, axis=0)
+    pattern[slow] = len(keep_table) - 1  # the fallback row
+    keep = np.take(keep_table, pattern, axis=0)
 
     # d0..d5 follow the two fixed bytes of words 0 and 2; d6..d11 precede
     # the two fixed bytes of words 1 and 3.
-    code = [np.take(_CODE, g) for g in groups]
+    code = [np.take(code_table, g) for g in groups]
     head = (code[0] << 16 | code[1] << 48).reshape(-1, width)
     tail = (code[1] >> 16 | code[2] << 16).reshape(-1, width)
     cells = np.empty(head.shape + (4,), _ROW)
     for word, digits in enumerate((head, tail, head, tail)):
-        np.bitwise_or(digits, _FIXED[word], out=cells[:, :, word])
+        np.bitwise_or(digits, fixed[word], out=cells[:, :, word])
     cells[:, -1, 3] ^= _NEWLINE
     cells = cells.reshape(-1, 4)
     cells[slow, 0] = _SPEC_WORD

@@ -242,15 +242,18 @@ def residualize_with(ds: Dataset, target: str, controls: Sequence[str],
     return ResidualizedVariable(name, target, controls, coefficients, values)
 
 
-def _residualized(ds: Dataset, response: str, x1: str, controls: list[str]):
-    """The R of ``[x1, *controls, response]``, the full fit on it, x1* from
-    the auxiliary slopes on that same R, and ``ds`` augmented with x1*."""
+def _residualized(ds: Dataset, response: str, x1: str, controls: list[str],
+                  r: np.ndarray | None = None):
+    """The full fit on ``[x1, *controls, response]``, x1* from the auxiliary
+    slopes on that same R, and ``ds`` augmented with x1*; ``r`` is the R of
+    those columns, factored here unless the caller already holds it."""
     union = [x1, *controls, response]
-    r = _factor(ds, union)
+    if r is None:
+        r = _factor(ds, union)
     full = _solve(r, union, len(controls) + 1, range(len(controls) + 1))
     aux = _solve(r, union, 0, range(1, len(controls) + 1))
     residual = residualize_with(ds, x1, controls, aux.slopes)
-    return r, full, residual, residual.merged_into(ds)
+    return full, residual, residual.merged_into(ds)
 
 
 def build_transform(k: int, target_index: int,

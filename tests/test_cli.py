@@ -374,6 +374,23 @@ class TestVerifyCommand:
         assert "proportional" in doc["diagnostics"]["message"]
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["3", "0.1"])
+    @pytest.mark.parametrize("controls", ["X2", "X2,X3"])
+    def test_constant_control_exits_two(self, capsys, tmp_path, d1_extended,
+                                        controls, value):
+        path = tmp_path / "constant.csv"
+        save_csv(d1_extended.replace_columns(
+            {"X2": np.full(d1_extended.n, float(value))}), path)
+        code = main(["verify", "--input", str(path), "--response", "Y",
+                     "--x1", "X1", "--controls", controls])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        doc = json.loads(captured.out)
+        assert doc["results"] is None
+        assert doc["diagnostics"]["error"] == "SingularDesign"
+        assert "'X2' is constant" in doc["diagnostics"]["message"]
+        assert captured.err.startswith("error:")
+
     def test_csv_format(self, capsys, d1_csv):
         code = main(["verify", "--input", d1_csv, "--response", "Y",
                      "--x1", "X1", "--controls", "X2", "--format", "csv"])

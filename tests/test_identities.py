@@ -22,6 +22,7 @@ from partialreg import (
     SingularDesign,
     VerificationReport,
     aggregate_coefficients,
+    correlation_matrix,
     decompose_coefficients,
     fit,
     fit_simple,
@@ -32,7 +33,8 @@ from partialreg import (
     run_verification_suite,
     verify_residualized_slope,
 )
-from partialreg.ols import _TILE_ROWS, _factor, _solve
+from partialreg.identities import _predictor_correlations
+from partialreg.ols import _LEAF_ROWS, _TILE_ROWS, _factor, _solve
 
 SUITE_CLAIMS_ONE_CONTROL = [
     "residualized_slope_one_control",
@@ -468,7 +470,7 @@ class TestMomentPasses:
 
     @pytest.mark.parametrize("controls, column_sets", [
         (["X2"], [["X1", "X2", "Y"], ["X1*", "X2", "Y"]]),
-        (["X2", "X3"], [["X1", "X2", "X3"], ["X1*", "X2", "X3", "Y"]]),
+        (["X2", "X3"], [["X1*", "X2", "X3", "Y"]]),
     ], ids=["one_control", "two_controls"])
     def test_suite(self, monkeypatch, d1_extended, controls, column_sets):
         calls = spy_moment_calls(monkeypatch)
@@ -500,3 +502,69 @@ class TestMomentPasses:
             assert relations.claim == "two_predictor_slope_relations"
             assert relations.lhs == (b1 * c12, b2 * c21, c12 * c21)
             assert relations.rhs == (a2 - b2, a1 - b1, r * r)
+
+
+class TestGateReadsTheFirstPass:
+    """The collinearity gate takes its correlations from the R of
+    ``[x1, *controls, y]`` and agrees with the moment route."""
+
+    @pytest.mark.parametrize("n", [50, _TILE_ROWS - 1, _TILE_ROWS + 1,
+                                   _TILE_ROWS + _LEAF_ROWS + 1])
+    def test_correlations_match_the_moment_route(self, n):
+        rng = np.random.default_rng(n)
+        names = ["X1", "X2", "X3"]
+        for _ in range(3):
+            ds = random_dataset(rng, n=n, k=3)
+            from_r = _predictor_correlations(
+                _factor(ds, [*names, "Y"]), "Y", names)
+            assert np.max(np.abs(from_r - correlation_matrix(ds, names))) \
+                <= 1e-12
+
+    @pytest.mark.parametrize("n", [50, _TILE_ROWS + _LEAF_ROWS + 1])
+    def test_verdict_matches_the_moment_route(self, n):
+        # x3 = 2*x2 + delta*noise walks |r(x2, x3)| across 1 - 1e-12.
+        rng = np.random.default_rng(53)
+        x1, x2, noise, y = rng.normal(size=(4, n))
+        verdicts = set()
+        for delta in np.geomspace(1e-3, 1e-9, 25):
+            ds = Dataset({"X1": x1, "X2": x2, "X3": 2.0 * x2 + delta * noise,
+                          "Y": y})
+            r = abs(float(correlation_matrix(ds, ["X2", "X3"])[0, 1]))
+            try:
+                run_verification_suite(ds, "Y", "X1", ["X2", "X3"])
+                rejected = False
+            except CollinearPredictors:
+                rejected = True
+            if abs(r - (1.0 - 1e-12)) > 1e-13:
+                assert rejected == (r >= 1.0 - 1e-12), (delta, r)
+                verdicts.add(rejected)
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("value", [3.0, 0.1])
+    @pytest.mark.parametrize("column, controls", [
+        ("X1", ["X2"]), ("X2", ["X2"]), ("X1", ["X2", "X3"]),
+        ("X3", ["X2", "X3"]),
+    ])
+    def test_constant_predictor_is_a_singular_design(self, d1_extended,
+                                                     column, controls,
+                                                     value):
+        ds = d1_extended.replace_columns({column: np.full(6, value)})
+        with pytest.raises(SingularDesign,
+                           match=f"column '{column}' is constant"):
+            run_verification_suite(ds, "Y", "X1", controls)
+
+    @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
+                             ids=["one_control", "two_controls"])
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_overflow_is_a_singular_design(self, controls, scale):
+        # Largest entries at 1e200 leave R finite and overflow its Gram
+        # matrix; at 1e308 R itself overflows.  No numpy warning escapes.
+        ds = random_dataset(np.random.default_rng(59), n=40, k=3)
+        ds = ds.replace_columns({
+            name: ds.column(name) / np.abs(ds.column(name)).max() * scale
+            for name in ("X1", "X2", "X3")})
+        finite = np.all(np.isfinite(_factor(ds, ["X1", *controls, "Y"])))
+        assert finite == (scale == 1e200)
+        with pytest.raises(SingularDesign,
+                           match="overflows the double range"):
+            run_verification_suite(ds, "Y", "X1", controls)
