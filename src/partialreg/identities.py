@@ -258,8 +258,8 @@ def run_verification_suite(ds: Dataset, response: str, x1: str,
         (``|pearson_r| >= 1 - 1e-12``), or if ``response`` is ``x1``; no
         report is produced because no claim is well posed in that case.
     SingularDesign
-        If a predictor is constant (to working precision: its centered
-        part is at most 1e-12 of its mean part) or the data overflow the
+        If a predictor is constant (to working precision: its standard
+        deviation is at most 1e-12 of its |mean|) or the data overflow the
         double range, before any claim; otherwise propagated from an inner
         fit, annotated with the claim it arose in.
     """
@@ -277,9 +277,9 @@ def _predictor_correlations(r: np.ndarray, response: str,
     moments (Björck 1996).
 
     Raises :class:`SingularDesign` if R or that Gram matrix overflows the
-    double range, or if a predictor's centered part is at most
-    1/CONDITION_LIMIT of its mean part, which puts the design's condition
-    above the limit.
+    double range, or if a predictor's standard deviation is at most
+    1/CONDITION_LIMIT of its |mean|, which puts the design's condition at
+    or above the limit.
     """
     design = f"{response!r} ~ {names}"
     overflow = f"design for {design} overflows the double range"
@@ -294,7 +294,7 @@ def _predictor_correlations(r: np.ndarray, response: str,
         if math.sqrt(cross[j, j]) * CONDITION_LIMIT <= abs(r[0, j + 1]):
             raise SingularDesign(
                 f"column {name!r} is constant to working precision, so the "
-                f"design for {design} has condition above "
+                f"design for {design} has condition at least "
                 f"{CONDITION_LIMIT:.0e}")
     return _correlations(cross.tolist(), names)
 

@@ -1,7 +1,10 @@
 """CSV loading, saving, and 12-digit number formatting."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -387,3 +390,13 @@ class TestBlockPrinter:
         columns = [fast, slow, mixed, -mixed]
         ds = Dataset({f"c{j}": column for j, column in enumerate(columns)})
         assert to_csv(ds) == "c0,c1,c2,c3\n" + _per_value(columns)
+
+    def test_tables_are_built_on_first_use(self):
+        # A process that never prints a CSV does not pay for the tables.
+        code = ("import partialreg, partialreg.io as io\n"
+                "assert io._tables.cache_info().currsize == 0\n"
+                "partialreg.to_csv(partialreg.Dataset({'a': [0.5, 2.0]}))\n"
+                "assert io._tables.cache_info().currsize == 1\n")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ,
+                            "PYTHONPATH": os.pathsep.join(sys.path)})
