@@ -36,6 +36,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from dataclasses import asdict
 from pathlib import Path
 
 from .dataset import Dataset
@@ -43,7 +44,6 @@ from .errors import GridTooLarge, ParseError, PartialRegError, ZeroLeadSlope
 from .gamma import _roots_from_fit, gamma_surface, gamma_sweep, grid_points
 from .identities import (
     DEFAULT_TOLERANCE,
-    VerificationReport,
     _checked_tolerance,
     _suite,
     run_verification_suite,
@@ -159,36 +159,28 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 # serialization helpers
 
-def _flat(values: tuple[float, ...]):
-    rounded = [round_to_printed(v) for v in values]
-    return rounded[0] if len(rounded) == 1 else rounded
+def _flat(values: tuple):
+    return values[0] if len(values) == 1 else values
+
+
+def _printed(value):
+    """``value`` as the JSON envelope prints it: every float rounded to its
+    12-digit printed form, every list or tuple a list."""
+    if isinstance(value, float):
+        return round_to_printed(value)
+    if isinstance(value, dict):
+        return {key: _printed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_printed(item) for item in value]
+    return value
 
 
 def _inputs_dict(args: argparse.Namespace) -> dict:
-    inputs: dict = {"input": args.input_path}
-    for key in ("response", "target", "x1", "x2", "x3",
-                "predictors", "controls"):
-        value = getattr(args, key, None)
-        if value is not None:
-            inputs[key] = value
-    for key in ("gamma_min", "gamma_max", "gamma_step",
-                "gamma2_range", "gamma3_range", "tolerance"):
-        value = getattr(args, key, None)
-        if value is not None:
-            inputs[key] = (_flat(value) if isinstance(value, tuple)
-                           else round_to_printed(value))
-    return inputs
-
-
-def _report_dict(report: VerificationReport) -> dict:
-    return {
-        "claim": report.claim,
-        "lhs": _flat(report.lhs),
-        "rhs": _flat(report.rhs),
-        "abs_diff": round_to_printed(report.abs_diff),
-        "tolerance": round_to_printed(report.tolerance),
-        "passed": report.passed,
-    }
+    """The options as given; each parser declares them in printed order."""
+    return {"input": args.input_path, **{
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "input_path", "output_format",
+                       "output_path")}}
 
 
 def _csv_lines(header: str, rows: list[list]) -> str:
@@ -214,37 +206,23 @@ def _cmd_fit(args: argparse.Namespace, ds: Dataset):
                 ("condition_estimate", fitted.condition_estimate),
                 ("rss", fitted.rss)]
         return _csv_lines("term,estimate", rows), EXIT_OK, None
-    results = {
-        "response": fitted.response,
-        "predictors": list(fitted.predictors),
-        "intercept": round_to_printed(fitted.intercept),
-        "slopes": [round_to_printed(s) for s in fitted.slopes],
-        "condition_estimate": round_to_printed(fitted.condition_estimate),
-        "rss": round_to_printed(fitted.rss),
-    }
-    return results, EXIT_OK, None
+    return asdict(fitted), EXIT_OK, None
 
 
 def _cmd_residualize(args: argparse.Namespace, ds: Dataset):
     residual = residualize(ds, args.target, args.controls)
     if args.output_format == "csv":
         return to_csv(residual.merged_into(ds)), EXIT_OK, None
-    results = {
-        "name": residual.name,
-        "target": residual.target,
-        "controls": list(residual.controls),
-        "control_coefficients": [round_to_printed(c)
-                                 for c in residual.control_coefficients],
-        "values": [round_to_printed(v) for v in residual.values],
-    }
-    return results, EXIT_OK, None
+    # Not asdict, which would deep-copy the n-row array.
+    return ({**vars(residual), "values": residual.values.tolist()},
+            EXIT_OK, None)
 
 
 def _grid_payload(args: argparse.Namespace, sweep):
     """Payload of a sweep (one axis, scalar coordinates) or a surface (two
     axes, coordinate lists); the sidecar meta goes with either format."""
     meta = {
-        "reference_b1": round_to_printed(sweep.reference_slope),
+        "reference_b1": sweep.reference_slope,
         "roots": [_flat(root) for root in sweep.roots],
         "undefined_points": [_flat(p) for p in sweep.undefined_points],
     }
@@ -253,10 +231,10 @@ def _grid_payload(args: argparse.Namespace, sweep):
         rows = [[*point, v] for point, v in zip(sweep.points, sweep.values)]
         return _csv_lines(header, rows), EXIT_OK, meta
     results = {
-        "axis_names": list(sweep.axis_names),
+        "axis_names": sweep.axis_names,
         "gammas" if len(sweep.axis_names) == 1 else "points":
             [_flat(point) for point in sweep.points],
-        "values": [round_to_printed(v) for v in sweep.values],
+        "values": sweep.values,
         **meta,
     }
     return results, EXIT_OK, meta
@@ -284,11 +262,9 @@ def _cmd_verify(args: argparse.Namespace, ds: Dataset):
                 for r in reports]
         text = _csv_lines("claim,lhs,rhs,abs_diff,tolerance,passed", rows)
         return text, code, None
-    results = {
-        "reports": [_report_dict(r) for r in reports],
-        "passed": passed,
-    }
-    return results, code, None
+    rows = [{**asdict(r), "lhs": _flat(r.lhs), "rhs": _flat(r.rhs)}
+            for r in reports]
+    return {"reports": rows, "passed": passed}, code, None
 
 
 def _cmd_report(args: argparse.Namespace, ds: Dataset):
@@ -380,9 +356,10 @@ def _grids(args: argparse.Namespace) -> list:
 
 def _envelope(args: argparse.Namespace, inputs: dict, results,
               diagnostics: dict) -> str:
-    return json.dumps({"command": args.command, "inputs": inputs,
-                       "results": results, "diagnostics": diagnostics},
-                      indent=2) + "\n"
+    """The one place the CLI's JSON numbers are rounded (see _printed)."""
+    return json.dumps(_printed(
+        {"command": args.command, "inputs": inputs, "results": results,
+         "diagnostics": diagnostics}), indent=2) + "\n"
 
 
 def _emit(text: str, path: str | None) -> None:

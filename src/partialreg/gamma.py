@@ -37,6 +37,7 @@ from .errors import (
     GridTooLarge,
     LengthMismatch,
     NumericalOvershoot,
+    SingularDesign,
     ZeroLeadSlope,
 )
 from .ols import RegressionFit, fit
@@ -97,13 +98,21 @@ def grid_points(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(math.floor(steps) + 1)
 
 
-def _checked_grid(gammas: Sequence[float]) -> np.ndarray:
-    grid = np.asarray(gammas, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("gamma grid must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("gamma grid contains a non-finite value")
-    return grid
+def _checked_grid(*axes: Sequence[float]) -> list[np.ndarray]:
+    """The axes as float arrays, their product at most MAX_GRID_POINTS."""
+    grids = [np.asarray(gammas, dtype=np.float64) for gammas in axes]
+    for grid in grids:
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValueError("gamma grid must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("gamma grid contains a non-finite value")
+    sizes = [grid.size for grid in grids]
+    if math.prod(sizes) > MAX_GRID_POINTS:
+        raise GridTooLarge(
+            f"{' x '.join(map(str, sizes))} "
+            f"{'sweep' if len(sizes) == 1 else 'surface'} has more than "
+            f"{MAX_GRID_POINTS} points")
+    return grids
 
 
 def _rational_parts(moments: list[list[float]], gamma, gamma3=None):
@@ -114,20 +123,27 @@ def _rational_parts(moments: list[list[float]], gamma, gamma3=None):
     expression is written once so every path rounds identically.  The third
     control's terms come after the first's, so at ``gamma3 == 0`` they add
     exact zeros and the result is bit-identical to the one-control value.
+    Raises :class:`SingularDesign` if a part overflows the double range,
+    which the squared gammas do from about ``|gamma| = 1e154`` on.
     """
     c1y, c2y, v1, c12, v2 = (moments[0][1], moments[0][2], moments[1][1],
                              moments[1][2], moments[2][2])
-    numerator = c1y - gamma * c2y
-    denominator = v1 - (2.0 * gamma) * c12 + (gamma * gamma) * v2
-    scale = v1 + (gamma * gamma) * v2
-    if gamma3 is not None:
-        c3y, c13, c23, v3 = moments[3]  # the x3 row
-        numerator = numerator - gamma3 * c3y
-        denominator = (denominator - (2.0 * gamma3) * c13
-                       + (2.0 * gamma * gamma3) * c23
-                       + (gamma3 * gamma3) * v3)
-        scale = scale + (gamma3 * gamma3) * v3
-    return numerator, denominator, scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        numerator = c1y - gamma * c2y
+        denominator = v1 - (2.0 * gamma) * c12 + (gamma * gamma) * v2
+        scale = v1 + (gamma * gamma) * v2
+        if gamma3 is not None:
+            c3y, c13, c23, v3 = moments[3]  # the x3 row
+            numerator = numerator - gamma3 * c3y
+            denominator = (denominator - (2.0 * gamma3) * c13
+                           + (2.0 * gamma * gamma3) * c23
+                           + (gamma3 * gamma3) * v3)
+            scale = scale + (gamma3 * gamma3) * v3
+    parts = numerator, denominator, scale  # all of the gammas' shape
+    if not np.isfinite(parts).all():
+        raise SingularDesign(
+            "the slope a1* overflows the double range at these gammas")
+    return parts
 
 
 def _slope_from_moments(moments: list[list[float]], gamma: float,
@@ -183,6 +199,9 @@ def _combined_slope(augmented: Dataset, response: str, residual,
     scale = variances[0]
     for variance, g in zip(variances[1:], residual.control_coefficients):
         scale += (g * g) * variance
+    if not math.isfinite(scale):
+        raise SingularDesign(f"the variance scale of {residual.name!r} "
+                             f"overflows the double range")
     cross = _central_moments(augmented, [residual.name, response])[1]
     if cross[0][0] <= DENOMINATOR_FLOOR * scale:
         raise DegenerateDirection(
@@ -309,9 +328,9 @@ def gamma_sweep(ds: Dataset, response: str, x1: str, x2: str,
     ``(x1, x2)``.  Grid points with a constant combined predictor are
     skipped and recorded, never interpolated.  If the lead slope is zero
     (so ``-b2/b1`` does not exist) the sweep still carries the remaining
-    root ``c12``.
+    root ``c12``.  More than :data:`MAX_GRID_POINTS` raise GridTooLarge.
     """
-    grid = _checked_grid(gammas)
+    grid, = _checked_grid(gammas)
     full = fit(ds, response, (x1, x2))
     reference_slope = full.slopes[0]
     moments = _central_moments(ds, [response, x1, x2])[1]
@@ -345,10 +364,7 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
     if len(controls) != 2:
         raise LengthMismatch(
             f"surface needs exactly 2 controls, got {len(controls)}")
-    grid2, grid3 = _checked_grid(gammas2), _checked_grid(gammas3)
-    if grid2.size * grid3.size > MAX_GRID_POINTS:
-        raise GridTooLarge(f"{grid2.size} x {grid3.size} surface has more "
-                           f"than {MAX_GRID_POINTS} points")
+    grid2, grid3 = _checked_grid(gammas2, gammas3)
     # Moments first, so x1* is not alive while they center four columns.
     moments = _central_moments(ds, [response, x1, *controls])[1]
     full, residual, augmented = _residualized(ds, response, x1, controls)

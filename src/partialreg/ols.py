@@ -155,9 +155,10 @@ def _solve(r: np.ndarray, names: Sequence[str], response: int,
         r = np.linalg.qr(r[:, selected], mode="r")
     r = r[:, :k + 2]
     # The R of [1, X | y] holds the design's R in the leading block, Q'y
-    # beside it and the residual norm in the corner.  LAPACK's svd fails
-    # (or prints to stdout) on inf or nan.
-    if not np.all(np.isfinite(r)):
+    # beside it and the residual norm, whose square may overflow, in the
+    # corner.  LAPACK's svd fails (or prints to stdout) on inf or nan.
+    corner = float(r[k + 1, k + 1]) if r.shape[0] > k + 1 else 0.0
+    if not (np.all(np.isfinite(r)) and math.isfinite(corner * corner)):
         raise SingularDesign(f"design for {design} overflows the double range")
     singular = np.linalg.svd(r[:k + 1, :k + 1], compute_uv=False).tolist()
     condition = singular[0] / singular[-1] if singular[-1] else math.inf
@@ -172,7 +173,7 @@ def _solve(r: np.ndarray, names: Sequence[str], response: int,
         intercept=float(coef[0]),
         slopes=tuple(float(c) for c in coef[1:]),
         condition_estimate=condition,
-        rss=float(r[k + 1, k + 1] ** 2) if r.shape[0] > k + 1 else 0.0,
+        rss=corner * corner,
     )
 
 

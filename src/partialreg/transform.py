@@ -331,6 +331,8 @@ def map_coefficients(coefficients: Sequence[float],
     SingularTransform
         If the inverse cannot be computed within
         :data:`INVERSE_RESIDUAL_LIMIT`.
+    SingularDesign
+        If a mapped slope overflows the double range.
     """
     coefficients = [float(c) for c in coefficients]
     if len(coefficients) != transform.k + 1:
@@ -338,5 +340,8 @@ def map_coefficients(coefficients: Sequence[float],
             f"expected {transform.k + 1} coefficients "
             f"(intercept + {transform.k} slopes), got {len(coefficients)}")
     slopes = np.array(coefficients[1:])
-    mapped = transform.inverse_gamma() @ slopes
+    with np.errstate(over="ignore", invalid="ignore"):
+        mapped = transform.inverse_gamma() @ slopes
+    if not np.all(np.isfinite(mapped)):
+        raise SingularDesign("a mapped slope would overflow the double range")
     return (coefficients[0], *(float(b) for b in mapped))

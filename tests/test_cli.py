@@ -751,6 +751,21 @@ class TestOverflowingData:
         assert "overflows the double range" in message
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_gammas_get_the_envelope(self, capfd, d1_csv, fmt):
+        code = main([*SWEEP, "--input", d1_csv, "--format", fmt,
+                     "--gamma-min=-1e200", "--gamma-max=1e200",
+                     "--gamma-step=1e200"])
+        captured = capfd.readouterr()
+        assert code == EXIT_USAGE
+        doc = json.loads(captured.out)
+        assert doc["results"] is None
+        assert doc["inputs"]["gamma_max"] == 1e200
+        assert doc["diagnostics"]["error"] == "SingularDesign"
+        message = doc["diagnostics"]["message"]
+        assert "overflows the double range" in message
+        assert captured.err == f"error: {message}\n"
+
 
 class TestArgumentsBeforeData:
     """Bad option values are judged before the input file is opened."""
@@ -783,3 +798,76 @@ class TestArgumentsBeforeData:
         doc = json.loads(captured.out)
         assert doc["results"] is None
         assert doc["diagnostics"]["error"] == "GridTooLarge"
+
+
+class TestJsonSchema:
+    """The envelope's key lists, in printed order: a field added to a
+    library record or a new option must not reach the JSON unnoticed."""
+
+    ENVELOPE = ["command", "inputs", "results", "diagnostics"]
+    GRID = ["input", "response", "x1", "x2"]
+    GRID_META = ["reference_b1", "roots", "undefined_points"]
+
+    @pytest.mark.parametrize("argv, inputs, results", [
+        (["fit", "--response", "Y", "--predictors", "X1,X2"],
+         ["input", "response", "predictors"],
+         ["response", "predictors", "intercept", "slopes",
+          "condition_estimate", "rss"]),
+        (["residualize", "--target", "X1", "--controls", "X2,X3"],
+         ["input", "target", "controls"],
+         ["name", "target", "controls", "control_coefficients", "values"]),
+        ([*SWEEP, "--format", "json", "--gamma-min=0", "--gamma-max=1",
+          "--gamma-step=0.5"],
+         [*GRID, "gamma_min", "gamma_max", "gamma_step"],
+         ["axis_names", "gammas", "values", *GRID_META]),
+        ([*SURFACE, "--format", "json", "--gamma2-range=0:1:0.5",
+          "--gamma3-range=0:1:0.5"],
+         [*GRID, "x3", "gamma2_range", "gamma3_range"],
+         ["axis_names", "points", "values", *GRID_META]),
+        (["verify", "--response", "Y", "--x1", "X1", "--controls", "X2,X3"],
+         ["input", "response", "x1", "controls", "tolerance"],
+         ["reports", "passed"]),
+    ], ids=["fit", "residualize", "sweep", "surface", "verify"])
+    def test_results_and_inputs_keys(self, capsys, d1_extended_csv, argv,
+                                     inputs, results):
+        code, doc = run_json(capsys, [*argv, "--input", d1_extended_csv])
+        assert code == EXIT_OK
+        assert list(doc) == self.ENVELOPE
+        assert list(doc["inputs"]) == inputs
+        assert list(doc["results"]) == results
+        assert doc["diagnostics"] == {}
+
+    def test_report_keys(self, capsys, d1_csv):
+        code, doc = run_json(capsys, [
+            "verify", "--input", d1_csv, "--response", "Y", "--x1", "X1",
+            "--controls", "X2", "--tolerance", "1e-300"])
+        assert code == EXIT_FAILED_VERIFICATION
+        for report in doc["results"]["reports"]:
+            assert list(report) == ["claim", "lhs", "rhs", "abs_diff",
+                                    "tolerance", "passed"]
+        assert list(doc["diagnostics"]) == ["failed_claims"]
+
+    def test_sweep_sidecar_keys(self, tmp_path, d1_csv):
+        out = tmp_path / "sweep.csv"
+        assert main([*SWEEP, "--input", d1_csv, "--output", str(out),
+                     "--gamma-min=0", "--gamma-max=1",
+                     "--gamma-step=0.5"]) == EXIT_OK
+        doc = json.loads(out.with_suffix(".meta.json").read_text())
+        assert list(doc) == self.ENVELOPE
+        assert list(doc["inputs"]) == [*self.GRID, "gamma_min", "gamma_max",
+                                       "gamma_step"]
+        assert list(doc["results"]) == self.GRID_META
+        assert doc["diagnostics"] == {}
+
+    def test_error_envelope_keys(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("X1,X2,Y\n1,2,3\n4,x,6\n")
+        code, doc = run_json(capsys, [
+            "fit", "--input", str(path), "--response", "Y",
+            "--predictors", "X1,X2"])
+        assert code == EXIT_USAGE
+        assert list(doc) == self.ENVELOPE
+        assert list(doc["inputs"]) == ["input", "response", "predictors"]
+        assert doc["results"] is None
+        assert list(doc["diagnostics"]) == ["error", "message", "row",
+                                            "column"]

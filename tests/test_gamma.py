@@ -23,6 +23,7 @@ from partialreg import (
     GridTooLarge,
     LengthMismatch,
     PartialRegError,
+    SingularDesign,
     ZeroLeadSlope,
     column_stats,
     combined_slope,
@@ -174,6 +175,42 @@ class TestSlopeOnGamma:
         for sign in (-1.0, 1.0):
             far = slope_on_gamma(d1, "Y", "X1", "X2", sign * 1e6 * ratio)
             assert abs(far) <= 1e-4 * abs(at_zero)
+
+
+class TestOverflowingGammas:
+    """Beyond about |gamma| = 1e154 the squared gamma overflows; every
+    evaluator then raises SingularDesign instead of calling the predictor
+    constant (and the suite's filterwarnings = error rules out a numpy
+    warning on the way)."""
+
+    @pytest.fixture()
+    def unit_data(self):
+        return random_dataset(np.random.default_rng(3), 30, 3)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda ds, g: slope_on_gamma(ds, "Y", "X1", "X2", g),
+        lambda ds, g: gamma_sweep(ds, "Y", "X1", "X2", [-g, 0.0, g]),
+        lambda ds, g: gamma_surface(ds, "Y", "X1", ["X2", "X3"], [0.0],
+                                    [-g, g]),
+        lambda ds, g: combined_slope(ds, "Y", "X1", ["X2"], [g]),
+    ], ids=["scalar", "sweep", "surface", "combined"])
+    def test_overflow_is_singular_design(self, unit_data, evaluate):
+        with pytest.raises(SingularDesign, match="overflows the double"):
+            evaluate(unit_data, 1e200)
+
+    def test_constant_control_at_an_overflowing_gamma(self, unit_data):
+        # X1 - 2**996 * X2 is exactly -2**996, so its moments are finite;
+        # gamma**2 * var(X2) is inf * 0, no number to set a floor by.
+        ds = unit_data.replace_columns({"X2": np.ones(unit_data.n)})
+        with pytest.raises(SingularDesign, match="overflows the double"):
+            combined_slope(ds, "Y", "X1", ["X2"], [2.0 ** 996])
+
+    def test_large_finite_gammas_still_evaluate(self, unit_data):
+        sweep = gamma_sweep(unit_data, "Y", "X1", "X2", [-1e150, 1e150])
+        assert sweep.undefined_points == ()
+        assert all(abs(v) < 1e-140 for v in sweep.values)
+        assert slope_on_gamma(unit_data, "Y", "X1", "X2", 1e150) == \
+            sweep.values[1]
 
 
 class TestCombinedSlope:
@@ -526,9 +563,13 @@ class TestGammaSurface:
         monkeypatch.setattr(partialreg.gamma, "MAX_GRID_POINTS", 4)
         gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"],
                       [0.0, 1.0], [0.0, 1.0])
+        gamma_sweep(d1_extended, "Y", "X1", "X2", [0.0, 0.5, 1.0, 1.5])
         with pytest.raises(GridTooLarge):
             gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"],
                           [0.0, 1.0], [0.0, 0.5, 1.0])
+        with pytest.raises(GridTooLarge):
+            gamma_sweep(d1_extended, "Y", "X1", "X2",
+                        np.linspace(-1.0, 1.0, 9))
 
     def test_surface_value_matches_oracle(self, d1_extended):
         cols = {n: [Fraction(v) for v in d1_extended.column(n)]

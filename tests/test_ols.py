@@ -58,6 +58,14 @@ class TestFit:
             with pytest.raises(SingularDesign, match="overflows the double"):
                 fit(ds, "Y", predictors)
 
+    def test_overflowing_rss_is_a_singular_design(self):
+        # R is finite, but the residual norm (about 1e200) squared is not.
+        rng = np.random.default_rng(5)
+        ds = Dataset({"X1": rng.normal(size=40),
+                      "Y": 1e200 * rng.normal(size=40)})
+        with pytest.raises(SingularDesign, match="overflows the double"):
+            fit(ds, "Y", ["X1"])
+
     def test_d1_two_predictors_exact(self, d1):
         fitted = fit(d1, "Y", ["X1", "X2"])
         assert_close_to_fractions(fitted.coefficients(), D1_COEFFICIENTS)

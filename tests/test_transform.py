@@ -438,6 +438,11 @@ class TestOneFinitenessScan:
 
 
 class TestMapCoefficients:
+    def test_overflowing_slope_is_a_singular_design(self):
+        t = build_transform(2, 1, [1e200])
+        with pytest.raises(SingularDesign, match="overflow the double"):
+            map_coefficients((0.0, 1e200, 1.0), t)
+
     def test_identity_transform_is_noop(self, d1):
         fitted = fit(d1, "Y", ["X1", "X2"])
         t = PredictorTransform(np.eye(2))
