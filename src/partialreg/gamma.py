@@ -40,7 +40,7 @@ from .errors import (
     SingularDesign,
     ZeroLeadSlope,
 )
-from .ols import RegressionFit, fit
+from .ols import RegressionFit, _simple_from_moments, fit
 from .stats import _central_moments
 from .transform import _residualized, residualize_with
 
@@ -187,26 +187,17 @@ def combined_slope(ds: Dataset, response: str, x1: str,
             f"{len(controls)} controls but {len(gammas)} gammas")
     moments = _central_moments(ds, [x1, *controls])[1]
     residual = residualize_with(ds, x1, controls, gammas)
-    return _combined_slope(residual.merged_into(ds), response, residual,
-                           [moments[i][i] for i in range(len(moments))])
-
-
-def _combined_slope(augmented: Dataset, response: str, residual,
-                    variances: list[float]) -> float:
-    """Slope of ``response`` on the ``ResidualizedVariable`` that
-    ``augmented`` holds, given the variances of ``[target, *controls]``,
-    the scale of its constant-predictor floor."""
-    scale = variances[0]
-    for variance, g in zip(variances[1:], residual.control_coefficients):
-        scale += (g * g) * variance
+    scale = moments[0][0]
+    for i, g in enumerate(gammas, start=1):
+        scale += (g * g) * moments[i][i]
     if not math.isfinite(scale):
         raise SingularDesign(f"the variance scale of {residual.name!r} "
                              f"overflows the double range")
-    cross = _central_moments(augmented, [residual.name, response])[1]
+    cross = _central_moments(residual.merged_into(ds),
+                             [residual.name, response])[1]
     if cross[0][0] <= DENOMINATOR_FLOOR * scale:
         raise DegenerateDirection(
-            f"{residual.target} - {list(residual.control_coefficients)}*"
-            f"{list(residual.controls)} is constant "
+            f"{x1} - {gammas}*{controls} is constant "
             f"(variance {cross[0][0]!r})")
     return cross[0][1] / cross[0][0]
 
@@ -369,8 +360,8 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
     moments = _central_moments(ds, [response, x1, *controls])[1]
     full, residual, augmented = _residualized(ds, response, x1, controls)
     root = residual.control_coefficients
-    _check_root(_combined_slope(augmented, response, residual,
-                                [moments[i][i] for i in (1, 2, 3)]),
+    means, cross = _central_moments(augmented, [residual.name, response])
+    _check_root(_simple_from_moments(means, cross, 1, 0, residual.name)[1],
                 full.slopes[0], root)
     return _tabulate(moments, ("gamma", "gamma3"), (grid2, grid3),
                      full.slopes[0], (root,))

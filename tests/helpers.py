@@ -28,6 +28,15 @@ def rescaled_x1_dataset(scale: float) -> Dataset:
     return Dataset({"X1": x1 * scale, "X2": x2, "X3": x3, "Y": y})
 
 
+def overshooting_sweep_dataset() -> Dataset:
+    """X1 = X2 + 1e-5 * noise, n = 30: b1 is about 2e4 and the sweep's
+    closed form at the root c12 misses it by more than
+    ``ROOT_MATCH_TOLERANCE`` allows."""
+    x2, noise, e = np.random.default_rng(0).normal(size=(3, 30))
+    x1 = x2 + 1e-5 * noise
+    return Dataset({"X1": x1, "X2": x2, "Y": e + x1})
+
+
 def random_dataset(rng: np.random.Generator, n: int, k: int, *,
                    condition_limit: float = 1e6) -> Dataset:
     """Random dataset with correlated predictors and a gated condition.

@@ -1,6 +1,7 @@
 """End-to-end behavior of the command line front end."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ import partialreg.cli
 import partialreg.identities
 import partialreg.ols
 import partialreg.transform
-from helpers import random_dataset, rescaled_x1_dataset, spy_moment_calls
+from helpers import (
+    overshooting_sweep_dataset,
+    random_dataset,
+    rescaled_x1_dataset,
+    spy_moment_calls,
+)
 from partialreg import (
     Dataset,
     ZeroLeadSlope,
@@ -283,6 +289,21 @@ class TestSweepCommand:
         ds = load_csv(path)
         c12 = fit_simple(ds, "X1", "X2").slopes[0]
         assert doc["results"]["roots"] == [round_to_printed(c12)]
+
+    def test_ill_conditioned_root_gets_the_envelope(self, capsys, tmp_path):
+        path = tmp_path / "overshoot.csv"
+        save_csv(overshooting_sweep_dataset(), path)
+        code = main(["sweep", "--input", str(path), "--response", "Y",
+                     "--x1", "X1", "--x2", "X2", "--gamma-min", "0",
+                     "--gamma-max", "1", "--gamma-step", "0.5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        doc = json.loads(captured.out)
+        assert doc["results"] is None
+        assert doc["diagnostics"]["error"] == "NumericalOvershoot"
+        message = doc["diagnostics"]["message"]
+        assert message.startswith("slope at root")
+        assert captured.err == f"error: {message}\n"
 
 
 class TestSurfaceCommand:
@@ -667,6 +688,31 @@ class TestErrorHandling:
                   "--x1", "X1", "--x2", "X2", "--x3", "X3",
                   "--gamma2-range", "0:1", "--gamma3-range", "0:1:0.5"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_non_numeric_range_triple_is_usage(self, capsys,
+                                               d1_extended_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["surface", "--input", d1_extended_csv, "--response", "Y",
+                  "--x1", "X1", "--x2", "X2", "--x3", "X3",
+                  "--gamma2-range", "a:b:1", "--gamma3-range", "0:1:0.5"])
+        assert exc.value.code == EXIT_USAGE
+        assert ("argument --gamma2-range: non-numeric range 'a:b:1'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, output", [
+        (["fit", "--response", "Y", "--predictors", "X1"], "."),
+        (["sweep", "--response", "Y", "--x1", "X1", "--x2", "X2",
+          "--gamma-min", "0", "--gamma-max", "1", "--gamma-step", "0.5"],
+         "missing/s.csv"),
+    ], ids=["directory", "missing_directory"])
+    def test_unwritable_output_is_an_error_line(self, capsys, tmp_path,
+                                                d1_csv, argv, output):
+        code = main([*argv, "--input", d1_csv,
+                     "--output", str(tmp_path / output)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert re.fullmatch(r"error: \[Errno \d+\] [^\n]+\n", captured.err)
 
     def test_empty_name_in_list_is_usage(self, capsys, d1_csv):
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ import oracle
 from helpers import (
     crossing_points,
     gamma_scan_values,
+    overshooting_sweep_dataset,
     random_dataset,
     sign_change_count,
     spy_moment_calls,
@@ -22,6 +23,7 @@ from partialreg import (
     GammaSweep,
     GridTooLarge,
     LengthMismatch,
+    NumericalOvershoot,
     PartialRegError,
     SingularDesign,
     ZeroLeadSlope,
@@ -68,6 +70,15 @@ def near_collinear_dataset() -> Dataset:
         "X2": x1 + 1e-7 * noise,
         "Y": 2.0 * x1 + rng.normal(size=8),
     })
+
+
+def near_collinear_root_dataset() -> Dataset:
+    # X3 = X2 + 1e-7 * noise: the root (c12, c13) is near (-9e5, 9e5),
+    # where the variance scale var(x1) + g2**2 var(x2) + g3**2 var(x3) is
+    # about 1e12 times the variance of x1*.
+    x1, x2, noise, y = np.random.default_rng(0).normal(size=(4, 20))
+    return Dataset({"X1": x1, "X2": x2, "X3": x2 + 1e-7 * noise,
+                    "Y": y + x1})
 
 
 def near_collinear_controls_dataset(rng: np.random.Generator,
@@ -348,6 +359,10 @@ class TestGammaSweep:
         assert sweep.roots == ((pytest.approx(c12, rel=1e-12),),)
         assert abs(sweep.reference_slope) <= 1e-10
 
+    def test_ill_conditioned_root_is_a_numerical_overshoot(self):
+        with pytest.raises(NumericalOvershoot, match="slope at root"):
+            gamma_sweep(overshooting_sweep_dataset(), "Y", "X1", "X2", [0.0])
+
     def test_rejects_bad_grid(self, d1):
         with pytest.raises(ValueError):
             gamma_sweep(d1, "Y", "X1", "X2", [])
@@ -542,6 +557,18 @@ class TestGammaSurface:
                     combined_slope(ds, "Y", "X1", ["X2", "X3"], point)
             undefined += len(surface.undefined_points)
         assert undefined == 2
+
+    def test_root_check_has_no_floor_on_the_variance_scale(self):
+        # The root check is the residualized-slope claim's arithmetic, so
+        # the surface returns the root wherever that claim passes.
+        ds = near_collinear_root_dataset()
+        controls = ["X2", "X3"]
+        surface = gamma_surface(ds, "Y", "X1", controls, [0.0], [0.0])
+        assert surface.roots == (pytest.approx((-892260.82, 892260.86),
+                                               rel=1e-6),)
+        claim = verify_residualized_slope(ds, "Y", "X1", controls)
+        assert claim.passed
+        assert surface.reference_slope == claim.lhs[0]
 
     @pytest.mark.parametrize("scaled", [("X1", "X2"), ("X3",)])
     def test_root_check_survives_a_change_of_units(self, scaled):

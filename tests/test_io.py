@@ -302,6 +302,11 @@ class TestWriteCsv:
         with pytest.raises(IoError, match=re.escape(repr(name))):
             to_csv(ds)
 
+    def test_unwritable_path_raises_io_error(self, tmp_path):
+        ds = Dataset({"a": [1.0, 2.0]})
+        with pytest.raises(IoError, match="cannot write"):
+            save_csv(ds, tmp_path)
+
     def test_blocks_cover_every_row_once(self, tmp_path):
         bits = np.random.default_rng(5).integers(
             0, 2**64, size=2 * (_WRITE_BLOCK_ROWS + 3), dtype=np.uint64)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from helpers import predictor_names, random_dataset
+from helpers import predictor_names, random_dataset, rescaled_x1_dataset
 import partialreg.dataset
 import partialreg.transform
 from partialreg import (
@@ -485,6 +485,53 @@ class TestMapCoefficients:
                 mapped = map_coefficients(original.coefficients(), t)
                 for got, want in zip(mapped, refit.coefficients()):
                     assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-9])
+    def test_maps_in_any_units(self, scale):
+        # X1 recorded in units `scale` times smaller: gamma's first row
+        # carries 1/scale and the transformed columns do not depend on it.
+        ds = rescaled_x1_dataset(scale)
+        names = ["X1", "X2"]
+        t = PredictorTransform([[1.0 / scale, 0.5 / scale], [0.25, 1.0]])
+        mapped = map_coefficients(fit(ds, "Y", names).coefficients(), t)
+        refit = fit(apply_transform(ds, names, t), "Y", names)
+        for got, want in zip(mapped, refit.coefficients()):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_maps_row_and_column_scaled_transforms(self):
+        # Power-of-two scalings D1 @ g @ D2 are exact, so the slopes of the
+        # scaled map, rescaled by D2, are those of g on D1-rescaled input,
+        # as accurate as g's own condition allows.
+        rng = np.random.default_rng(61)
+        for _ in range(2000):
+            g = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+            rows, columns = rng.integers(-20, 21, size=(2, 3))
+            slopes = rng.normal(size=3)
+            t = PredictorTransform(np.ldexp(g, rows[:, None] + columns))
+            mapped = map_coefficients((0.0, *np.ldexp(slopes, rows)), t)
+            got = np.ldexp(mapped[1:], columns)
+            want = np.linalg.solve(g, slopes)
+            assert abs(got - want).max() \
+                <= 100 * 2.0 ** -52 * np.linalg.cond(g) * abs(want).max()
+
+    @pytest.mark.parametrize("condition", [1e5, 1e6, 1e7, 1e8])
+    def test_maps_every_transform_construction_accepts(self, condition):
+        # Forward error of a backward-stable inverse: a small multiple of
+        # the rounding unit times the condition number, against the exact
+        # rational solve.
+        rng = np.random.default_rng(int(np.log10(condition)))
+        for _ in range(500):
+            u, v = (np.linalg.qr(rng.normal(size=(3, 3)))[0]
+                    for _ in range(2))
+            g = u @ np.diag([1.0, condition ** -0.5, 1.0 / condition]) @ v.T
+            slopes = rng.normal(size=3)
+            mapped = map_coefficients((0.0, *slopes), PredictorTransform(g))
+            exact = oracle.solve(
+                [[Fraction(x) for x in row] for row in g.tolist()],
+                [Fraction(b) for b in slopes.tolist()])
+            want = np.array([float(x) for x in exact])
+            assert abs(mapped[1:] - want).max() \
+                <= 100 * 2.0 ** -52 * condition * abs(want).max()
 
     def test_coefficient_length_checked(self):
         t = PredictorTransform(np.eye(2))
