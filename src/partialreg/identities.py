@@ -309,12 +309,13 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
     names = [x1, *controls]
     r_raw = _factor(ds, [*names, response])
     corr = _predictor_correlations(r_raw, response, names)
-    for i, j in zip(*np.triu_indices(len(names), 1)):
-        r = float(corr[i, j])
-        if abs(r) >= 1.0 - 1e-12:
-            raise CollinearPredictors(
-                f"columns {names[i]!r} and {names[j]!r} are "
-                f"proportional (|r| = {abs(r)!r})")
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            r = float(corr[i, j])
+            if abs(r) >= 1.0 - 1e-12:
+                raise CollinearPredictors(
+                    f"columns {names[i]!r} and {names[j]!r} are "
+                    f"proportional (|r| = {abs(r)!r})")
     if response == x1:
         raise CollinearPredictors(
             f"response {response!r} is also x1; the transformed data "
@@ -337,7 +338,6 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
                                rho, 0.0, tolerance))
 
     if len(controls) == 2:
-        x2, x3 = controls
         with _tag_claim("controls_have_zero_slope_on_residual"):
             on_x3 = _solve(r_star, union, 2, (0, 1)).slopes[0]
             on_x2 = _solve(r_star, union, 1, (0, 2)).slopes[0]

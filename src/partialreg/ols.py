@@ -4,8 +4,8 @@
 a tile of rows at a time, rather than by forming X'X, and it refuses
 designs whose condition number says the answer would be noise.  That is
 one tiled pass per column set: ``_factor`` makes the pass, factoring each
-tile as L1-sized leaves in one stacked QR, and ``_solve`` fits any subset
-of its columns from the R of the union alone.
+tile as L1-sized leaves in one stacked QR whose Rs land in one row stack,
+and ``_solve`` fits any subset of its columns from the R of the union alone.
 ``fit_simple`` is the one-predictor closed form, kept as a separate code
 path on purpose: several identities in this package equate outputs of the
 two routes, and that check is only meaningful if they do not share code.
@@ -118,25 +118,33 @@ def _factor(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     """R factor of ``[1, *names]``, from one tiled pass over the rows.
 
     Each tile's full leaves of ``_LEAF_ROWS`` rows are factored by one
-    stacked QR and its ragged rest by one more; a final QR of all their Rs
-    gives the R of the whole design (TSQR)."""
+    stacked ``mode="raw"`` QR and its ragged rest by one more, into one row
+    stack; one ``triu`` per pass and a final QR of the stack give the R of
+    the whole design (TSQR), bit for bit as from each leaf's own R."""
     columns = [ds.column(name) for name in names]
     # One tile buffer for the pass; its row of ones is written once.
     block = np.empty((len(names) + 1, min(ds.n, _TILE_ROWS)))
     block[0] = 1.0
-    tile_rs = []
+    leaves, rest = divmod(ds.n, _LEAF_ROWS)
+    leaf_rows = min(len(block), _LEAF_ROWS)
+    stack = np.empty((leaves * leaf_rows + min(rest, len(block)), len(block)))
+    head = stack[:leaves * leaf_rows].reshape(leaves, leaf_rows, len(block))
     for start in range(0, ds.n, _TILE_ROWS):
         size = min(_TILE_ROWS, ds.n - start)
         for row, column in zip(block[1:], columns):
             row[:size] = column[start:start + size]
         split = size - size % _LEAF_ROWS
         if split:
-            leaves = block[:, :split].reshape(len(block), -1, _LEAF_ROWS)
-            # (leaf, row, column): each leaf is a Fortran-ordered matrix.
-            tile_rs.extend(np.linalg.qr(leaves.transpose(1, 2, 0), mode="r"))
+            tile = block[:, :split].reshape(len(block), -1, _LEAF_ROWS)
+            # Fortran-ordered (leaf, row, column); h[l].T holds leaf l's R.
+            h, _ = np.linalg.qr(tile.transpose(1, 2, 0), mode="raw")
+            leaf = start // _LEAF_ROWS
+            head[leaf:leaf + len(h)] = h.swapaxes(1, 2)[:, :leaf_rows]
         if split < size:
-            tile_rs.append(np.linalg.qr(block[:, split:size].T, mode="r"))
-    return np.linalg.qr(np.vstack(tile_rs), mode="r")
+            stack[leaves * leaf_rows:] = np.linalg.qr(
+                block[:, split:size].T, mode="r")
+    head[:] = np.triu(head)
+    return np.linalg.qr(stack, mode="r")
 
 
 def _solve(r: np.ndarray, names: Sequence[str], response: int,

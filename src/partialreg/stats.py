@@ -72,14 +72,15 @@ def _central_moments(ds: Dataset, names: Sequence[str]
     of the named columns, read in name order and each centered once; every
     pair is computed once and mirrored, so the diagonal holds the variances.
     """
-    columns = [ds.column(name) for name in names]
+    n, columns = ds.n, [ds.column(name) for name in names]
     with np.errstate(over="ignore", invalid="ignore"):
         means = [float(x.mean()) for x in columns]
         devs = [x - mean for x, mean in zip(columns, means)]
         cross = np.empty((len(devs), len(devs)))
-        for i, j in zip(*np.triu_indices(len(devs))):
-            cross[i, j] = cross[j, i] = np.dot(devs[i], devs[j]) / ds.n
-    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(cross))):
+        for i in range(len(devs)):
+            for j in range(i, len(devs)):
+                cross[i, j] = cross[j, i] = np.dot(devs[i], devs[j]) / n
+    if not (all(map(math.isfinite, means)) and np.all(np.isfinite(cross))):
         raise SingularDesign(
             f"moments of {list(names)}: a mean or cross moment overflows "
             f"the double range")
@@ -156,11 +157,12 @@ def _correlations(cross: list[list[float]], names: Sequence[str]
         if cross[i][i] == 0.0:
             raise ZeroVariance(f"column {name!r} is constant")
         sds.append(math.sqrt(cross[i][i]))
-    corr = np.eye(len(names))
-    for i, j in zip(*np.triu_indices(len(names), 1)):
-        r = cross[i][j] / (sds[i] * sds[j])
-        corr[i, j] = corr[j, i] = _clamp(
-            r, -1.0, 1.0, f"pearson_r({names[i]!r}, {names[j]!r})")
+    corr = np.eye(len(sds))
+    for i in range(len(sds)):
+        for j in range(i + 1, len(sds)):
+            r = cross[i][j] / (sds[i] * sds[j])
+            corr[i, j] = corr[j, i] = _clamp(
+                r, -1.0, 1.0, f"pearson_r({names[i]!r}, {names[j]!r})")
     return corr
 
 

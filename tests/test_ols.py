@@ -331,6 +331,24 @@ class TestRowTiles:
         want = np.linalg.qr(np.linalg.qr(design, mode="r"), mode="r")
         assert np.array_equal(_factor(ds, names), want)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, *TILE_EDGES])
+    def test_factor_bits_match_the_leaf_reference(self, n):
+        # The reference arithmetic: a mode="r" QR of each 1024-row leaf in
+        # row order, then of the ragged rest, and a final QR of their Rs
+        # stacked.  The R keeps min(n, k + 2) rows, which TooFewRows reads.
+        rng = np.random.default_rng(n + 2)
+        for k in range(5):
+            names = [*predictor_names(k), "Y"]
+            ds = Dataset({name: rng.normal(size=n) for name in names})
+            design = design_matrix(ds, names)
+            leaf_rs = [np.linalg.qr(design[start:start + _LEAF_ROWS],
+                                    mode="r")
+                       for start in range(0, n, _LEAF_ROWS)]
+            want = np.linalg.qr(np.vstack(leaf_rs), mode="r")
+            got = _factor(ds, names)
+            assert got.shape == want.shape == (min(n, k + 2), k + 2)
+            assert got.tobytes() == want.tobytes()
+
 
 def assert_matches_oracle(fitted, response, predictors):
     want = oracle.fit_coefficients(response, predictors)
