@@ -5,6 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from partialreg import Dataset, column_stats, covariance
+from partialreg.ols import _LEAF_ROWS, _TILE_ROWS
+
+#: Row counts at and around the leaf and tile edges of the tiled QR pass.
+TILE_EDGES = (_LEAF_ROWS - 1, _LEAF_ROWS, _LEAF_ROWS + 1, _TILE_ROWS - 1,
+              _TILE_ROWS, _TILE_ROWS + 1, _TILE_ROWS + _LEAF_ROWS + 1,
+              3 * _TILE_ROWS + 5)
 
 
 def predictor_names(k: int) -> list[str]:

@@ -1,14 +1,20 @@
 """The slope identities and the verification suite built on them."""
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import oracle
 import partialreg.identities
 import partialreg.ols
 import partialreg.transform
 from helpers import (
+    TILE_EDGES,
     predictor_names,
     random_dataset,
+    random_integer_dataset,
     rescaled_x1_dataset,
     spy_moment_calls,
 )
@@ -17,9 +23,11 @@ from partialreg import (
     Dataset,
     NonCanonicalSubsetRows,
     ParseError,
+    PredictorTransform,
     ResidualizedVariable,
     ShapeMismatch,
     SingularDesign,
+    TooFewRows,
     VerificationReport,
     aggregate_coefficients,
     correlation_matrix,
@@ -33,7 +41,7 @@ from partialreg import (
     run_verification_suite,
     verify_residualized_slope,
 )
-from partialreg.identities import _predictor_correlations
+from partialreg.identities import _predictor_correlations, _residualized_r
 from partialreg.ols import _LEAF_ROWS, _TILE_ROWS, _factor, _solve
 
 SUITE_CLAIMS_ONE_CONTROL = [
@@ -50,6 +58,12 @@ SUITE_CLAIMS_TWO_CONTROLS = [
     "mapped_coefficients_match_refit",
     "aggregation_recovers_subset_slopes",
 ]
+
+
+def without_last_tile(ds: Dataset, names) -> Dataset:
+    """The columns ``names`` of ``ds`` cut to whole tiles of the pass."""
+    keep = ds.n - ds.n % _TILE_ROWS
+    return Dataset({name: ds.column(name)[:keep] for name in names})
 
 
 def proportional_dataset() -> Dataset:
@@ -337,44 +351,63 @@ class TestRunVerificationSuite:
         monkeypatch.setattr(partialreg.identities, "_factor",
                             counting_factor)
 
-    @pytest.mark.parametrize("controls, designs", [
-        (["X2"], [["X1", "X2", "Y"], ["X1*", "X2", "Y"]]),
-        (["X2", "X3"], [["X1", "X2", "X3", "Y"], ["X1*", "X2", "X3", "Y"]]),
+    @pytest.mark.parametrize("controls, moment_calls", [
+        (["X2"], 2), (["X2", "X3"], 1),
     ], ids=["one_control", "two_controls"])
-    def test_fits_each_design_once(self, monkeypatch, d1_extended,
-                                   controls, designs):
-        passes = []
-        merges = []
+    def test_one_row_pass_per_suite_call(self, monkeypatch, d1_extended,
+                                         controls, moment_calls):
+        # x1*'s R comes from the first pass's R by the transform law, so
+        # the rows are factored once; x1* is still built once, as data.
+        passes, moments, merges = [], [], []
+        central_moments = partialreg.identities._central_moments
+        merged_into = ResidualizedVariable.merged_into
+
+        def counting_moments(ds, names):
+            moments.append(list(names))
+            return central_moments(ds, names)
 
         def counting_merge(residual, ds):
             merges.append(residual.name)
             return merged_into(residual, ds)
 
-        merged_into = ResidualizedVariable.merged_into
         self.spy_passes(monkeypatch, passes)
+        monkeypatch.setattr(partialreg.identities, "_central_moments",
+                            counting_moments)
         monkeypatch.setattr(ResidualizedVariable, "merged_into",
                             counting_merge)
-        run_verification_suite(d1_extended, "Y", "X1", controls)
-        assert [names for names, _ in passes] == designs
-        assert merges == ["X1*"]
+        for calls in (1, 2):
+            run_verification_suite(d1_extended, "Y", "X1", controls)
+            assert [names for names, _ in passes] \
+                == [["X1", *controls, "Y"]] * calls
+            assert all(ds.column("X1") is d1_extended.column("X1")
+                       for _, ds in passes)
+            assert len(moments) == moment_calls * calls
+            assert merges == ["X1*"] * calls
 
-    def test_refit_reads_the_residual_array_itself(self, monkeypatch,
-                                                   d1_extended):
-        residuals, passes = [], []
+    def test_moment_route_reads_the_residual_array_itself(
+            self, monkeypatch, d1_extended):
+        # The claims on x1*'s data read the array residualize_with built,
+        # not the derived R, so a fault in that array stays visible.
+        residuals, moments = [], []
 
         def spy_residualize_with(*args):
             residuals.append(residualize_with(*args))
             return residuals[-1]
 
+        def recording_moments(ds, names):
+            moments.append((list(names), ds))
+            return central_moments(ds, names)
+
         residualize_with = partialreg.transform.residualize_with
+        central_moments = partialreg.identities._central_moments
         monkeypatch.setattr(partialreg.transform, "residualize_with",
                             spy_residualize_with)
-        self.spy_passes(monkeypatch, passes)
+        monkeypatch.setattr(partialreg.identities, "_central_moments",
+                            recording_moments)
         run_verification_suite(d1_extended, "Y", "X1", ["X2", "X3"])
         (residual,) = residuals
-        assert len(passes) == 2
-        assert passes[0][1].column("X1") is d1_extended.column("X1")
-        names, ds = passes[1]
+        ((names, ds),) = moments
+        assert names == ["X1*", "X2", "X3", "Y"]
         assert ds.column(names[0]) is residual.values
 
     def test_verify_residualized_slope_reads_the_rows_once(
@@ -392,20 +425,16 @@ class TestRunVerificationSuite:
         # so it must notice a pass that drops the final partial tile.
         factor = partialreg.ols._factor
 
-        def without_last_tile(ds, names):
-            keep = ds.n - ds.n % _TILE_ROWS
-            return factor(Dataset({name: ds.column(name)[:keep]
-                                   for name in names}), names)
+        def short_pass(ds, names):
+            return factor(without_last_tile(ds, names), names)
 
         ds = random_dataset(np.random.default_rng(41), n=_TILE_ROWS + 600,
                             k=3)
         assert all(r.passed for r in run_verification_suite(
             ds, "Y", "X1", controls))
-        monkeypatch.setattr(partialreg.ols, "_factor", without_last_tile)
-        monkeypatch.setattr(partialreg.transform, "_factor",
-                            without_last_tile)
-        monkeypatch.setattr(partialreg.identities, "_factor",
-                            without_last_tile)
+        monkeypatch.setattr(partialreg.ols, "_factor", short_pass)
+        monkeypatch.setattr(partialreg.transform, "_factor", short_pass)
+        monkeypatch.setattr(partialreg.identities, "_factor", short_pass)
         first = run_verification_suite(ds, "Y", "X1", controls)[0]
         assert first.claim.startswith("residualized_slope_")
         assert not first.passed
@@ -568,3 +597,215 @@ class TestGateReadsTheFirstPass:
         with pytest.raises(SingularDesign,
                            match="overflows the double range"):
             run_verification_suite(ds, "Y", "X1", controls)
+
+
+def suite_faults() -> dict:
+    """Fault -> ``[(owner, attribute, faulty stand-in)]``, patched at the
+    names the suite calls through; each stand-in wraps the real code."""
+    identities, transform = partialreg.identities, partialreg.transform
+    factor, moments = identities._factor, identities._central_moments
+    combination, solve = transform._combination, partialreg.ols._solve
+    inverse_gamma = PredictorTransform.inverse_gamma
+    build_transform = identities.build_transform
+
+    def y_column_scaled(ds, names):
+        r = factor(ds, names).copy()
+        r[:, -1] *= 1.01
+        return r
+
+    def x1_star_shifted(ds, names, weights):
+        column = combination(ds, names, weights).copy()
+        column[:100] += 0.3
+        column.setflags(write=False)
+        return column
+
+    def slopes_scaled(*args):
+        fitted = solve(*args)
+        return dataclasses.replace(fitted, slopes=tuple(
+            s * (1.0 + 1e-6) for s in fitted.slopes))
+
+    def inverse_nudged(self):
+        inverse = inverse_gamma(self)
+        inverse[0, -1] += 1e-6
+        return inverse
+
+    def coefficients_scaled(k, target_index, coefficients):
+        return build_transform(k, target_index,
+                               [c * (1.0 + 1e-6) for c in coefficients])
+
+    return {
+        "a: _factor drops the last partial tile": [(
+            identities, "_factor",
+            lambda ds, names: factor(without_last_tile(ds, names), names))],
+        "b: _factor scales R's y column by 1.01": [
+            (identities, "_factor", y_column_scaled)],
+        "c: _central_moments drops the last partial tile": [(
+            identities, "_central_moments",
+            lambda ds, names: moments(without_last_tile(ds, names), names))],
+        "d: _combination adds 0.3 to x1*'s first 100 rows": [
+            (transform, "_combination", x1_star_shifted)],
+        "e: _solve scales its slopes by 1 + 1e-6": [
+            (identities, "_solve", slopes_scaled),
+            (transform, "_solve", slopes_scaled)],
+        "f: inverse_gamma adds 1e-6 to one entry": [
+            (PredictorTransform, "inverse_gamma", inverse_nudged)],
+        "g: build_transform scales its coefficients by 1 + 1e-6": [
+            (identities, "build_transform", coefficients_scaled)],
+    }
+
+
+def failed_by_fault() -> dict:
+    """Fault letter of suite_faults -> the claims it fails, as measured,
+    with one control and with two; the README lists the same map per
+    claim."""
+    one, uncorrelated, mapped, relations, aggregation = \
+        SUITE_CLAIMS_ONE_CONTROL
+    two, _, zero_slope, _, _ = SUITE_CLAIMS_TWO_CONTROLS
+    return {
+        "one_control": {
+            "a": {one, uncorrelated, relations},
+            "b": {one, relations},
+            "c": {one, uncorrelated, relations},
+            "d": {one, uncorrelated},
+            "e": {one, uncorrelated, relations, aggregation},
+            "f": {mapped},
+            "g": {mapped},
+        },
+        "two_controls": {
+            "a": {two, uncorrelated, zero_slope},
+            "b": {two},
+            "c": {two, uncorrelated, zero_slope},
+            "d": {two, uncorrelated, zero_slope},
+            "e": {two, uncorrelated, zero_slope, aggregation},
+            "f": {mapped},
+            "g": {mapped},
+        },
+    }
+
+
+class TestFaultMatrix:
+    """Every claim compares two routes that do not share the primitive
+    under test: each injected fault fails some claim, and each claim fails
+    under some fault."""
+
+    @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
+                             ids=["one_control", "two_controls"])
+    def test_every_fault_fails_a_claim_and_every_claim_a_fault(
+            self, request, controls):
+        ds = random_dataset(np.random.default_rng(41), n=_TILE_ROWS + 600,
+                            k=3)
+        reports = run_verification_suite(ds, "Y", "X1", controls)
+        assert all(r.passed for r in reports)
+        claims = [r.claim for r in reports]
+        failing = {}
+        for fault, patches in suite_faults().items():
+            with pytest.MonkeyPatch.context() as patch:
+                for owner, name, faulty in patches:
+                    patch.setattr(owner, name, faulty)
+                reports = run_verification_suite(ds, "Y", "X1", controls)
+            assert [r.claim for r in reports] == claims
+            failing[fault[0]] = {r.claim for r in reports if not r.passed}
+        assert all(failing.values()), failing
+        assert set().union(*failing.values()) == set(claims), failing
+        assert failing == failed_by_fault()[request.node.callspec.id]
+
+
+class TestDerivedR:
+    """The R of ``[1, x1*, *controls, y]`` derived from the first pass's R
+    by the transform law agrees with a real pass over x1*'s rows."""
+
+    @staticmethod
+    def both_routes(ds: Dataset, controls, coefficients=None):
+        """The merged data, x1*'s column names and its R by each route:
+        derived, then a pass; ``coefficients`` default to the auxiliary
+        fit's slopes."""
+        union = ["X1", *controls, "Y"]
+        r = _factor(ds, union)
+        if coefficients is None:
+            coefficients = _solve(r, union, 0,
+                                  range(1, len(controls) + 1)).slopes
+        residual = residualize_with(ds, "X1", controls, coefficients)
+        merged = residual.merged_into(ds)
+        star = [residual.name, *controls, "Y"]
+        return merged, star, _residualized_r(
+            r, residual.control_coefficients), _factor(merged, star)
+
+    @staticmethod
+    def fits(r: np.ndarray, ds: Dataset, star) -> list:
+        """The refit's coefficients, then each control's slope on x1*
+        beside the other controls, or TooFewRows for a short fit.  A zero
+        slope is standardized by sd(x1*)/sd(control): its rounding carries
+        the units 1/sd(x1*), which grow as x1 nears the controls' span."""
+        controls = range(1, len(star) - 1)
+        designs = [(len(star) - 1, range(len(star) - 1)), *(
+            (j, [0, *(i for i in controls if i != j)]) for j in controls)]
+        out = []
+        for response, predictors in designs:
+            try:
+                fitted = _solve(r, star, response, predictors)
+            except TooFewRows:
+                out.append(TooFewRows)
+                continue
+            if response == len(star) - 1:
+                out.append(fitted.coefficients())
+            else:
+                scale = (np.std(ds.column(star[0]))
+                         / np.std(ds.column(star[response])))
+                out.append((fitted.slopes[0] * scale,))
+        return out
+
+    @staticmethod
+    def assert_close(got, want, rel):
+        """Each group agrees to ``rel`` of max(1, its largest |value|)."""
+        for g, w in zip(got, want, strict=True):
+            bound = rel * max(1.0, max(abs(float(v)) for v in w))
+            assert max(abs(a - float(b)) for a, b in zip(g, w)) <= bound, (
+                got, want)
+
+    @pytest.mark.parametrize("n", TILE_EDGES)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_a_pass_at_the_tile_edges(self, n, m):
+        ds = random_dataset(np.random.default_rng(n + m), n=n, k=4)
+        merged, star, derived, passed = self.both_routes(
+            ds, predictor_names(4)[1:m + 1])
+        assert derived.shape == passed.shape
+        self.assert_close(self.fits(derived, merged, star),
+                          self.fits(passed, merged, star), 1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_short_r_raises_too_few_rows_at_the_same_n(self, m):
+        # At n <= k + 2 rows R is short; any weights obey the law.
+        rng = np.random.default_rng(61 + m)
+        controls = predictor_names(4)[1:m + 1]
+        for n in range(2, m + 5):
+            ds = Dataset(dict(zip(["X1", *controls, "Y"],
+                                  rng.normal(size=(m + 2, n)))))
+            merged, star, derived, passed = self.both_routes(
+                ds, controls, rng.uniform(-2.0, 2.0, size=m))
+            assert derived.shape == passed.shape == (min(n, m + 3), m + 3)
+            got = self.fits(derived, merged, star)
+            want = self.fits(passed, merged, star)
+            short = [w is TooFewRows for w in want]
+            assert [g is TooFewRows for g in got] == short
+            assert short[0] == (n < m + 2)
+            self.assert_close(
+                [g for g, s in zip(got, short) if not s],
+                [w for w, s in zip(want, short) if not s], 1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_both_routes_match_the_oracle_on_integer_data(self, m):
+        rng = np.random.default_rng(67 + m)
+        controls = predictor_names(m + 1)[1:]
+        for n in (m + 4, 12, 40):
+            ds, raw = random_integer_dataset(rng, n=n, k=m + 1)
+            merged, star, derived, passed = self.both_routes(ds, controls)
+            x1_star = [Fraction(v) for v in merged.column(star[0])]
+            want = [oracle.fit_coefficients(
+                raw["Y"], [x1_star, *(raw[c] for c in controls)])]
+            for control in controls:
+                slope = oracle.fit_coefficients(raw[control], [
+                    x1_star, *(raw[c] for c in controls if c != control)])[1]
+                want.append((slope * Fraction(np.std(merged.column(star[0])))
+                             / Fraction(np.std(raw[control])),))
+            for r in (derived, passed):
+                self.assert_close(self.fits(r, merged, star), want, 1e-10)

@@ -8,6 +8,7 @@ import pytest
 import oracle
 import partialreg.ols
 from helpers import (
+    TILE_EDGES,
     design_matrix,
     predictor_names,
     random_dataset,
@@ -228,11 +229,6 @@ class TestFitSimple:
         assert fit_simple(d1, "Y", "X2").slopes[0] == pytest.approx(
             float(want), rel=1e-14)
         assert want == Fraction(11, 7)
-
-
-TILE_EDGES = (_LEAF_ROWS - 1, _LEAF_ROWS, _LEAF_ROWS + 1, _TILE_ROWS - 1,
-              _TILE_ROWS, _TILE_ROWS + 1, _TILE_ROWS + _LEAF_ROWS + 1,
-              3 * _TILE_ROWS + 5)
 
 
 class TestRowTiles:
