@@ -303,7 +303,8 @@ def _cmd_report(args: argparse.Namespace, ds: Dataset):
     lines.append(f"residualized predictor {residual.name} = {x1} - {pieces}")
     if len(controls) == 1:
         try:
-            roots = _roots_from_fit(full, cross)
+            roots = _roots_from_fit(full, residual.control_coefficients[0],
+                                    cross[0][0], cross[1][1])
             shown = ", ".join(format_number(r) for r in roots)
             lines.append(f"gammas where the combined-predictor slope "
                          f"equals the multiple slope: {shown}")

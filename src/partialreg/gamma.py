@@ -1,26 +1,23 @@
 """The slope of the response on ``x1 - gamma * x2`` as gamma varies.
 
-Write ``a1*(gamma)`` for the simple-regression slope of the response on the
-combined predictor ``x1 - gamma * x2``.  In population moments::
+``a1*(gamma)``, the simple-regression slope of the response on
+``x1 - gamma * x2``, is a rational function of gamma with the horizontal
+axis as asymptote and (for correlated data) two extrema.  It equals the
+multiple slope ``b1`` of ``y ~ x1 + x2`` at exactly ``gamma = c12`` (the
+slope of x1 on x2) and ``gamma = -b2/b1``, which :func:`gamma_roots`
+returns; :func:`gamma_sweep` and :func:`gamma_surface` tabulate it on
+grids, recording any gamma where the combined predictor is constant.
 
-    a1*(gamma) = (cov(x1, y) - gamma * cov(x2, y))
-                 / (var(x1) - 2 * gamma * cov(x1, x2) + gamma**2 * var(x2))
-
-a rational function of gamma with the horizontal axis as asymptote and (for
-correlated data) two extrema.  Its defining property is that it equals the
-multiple-regression slope ``b1`` of ``y ~ x1 + x2`` at exactly two points:
-``gamma = c12`` (the slope of x1 on x2, i.e. genuine residualization) and
-``gamma = -b2/b1``.  :func:`gamma_roots` returns those two closed forms;
-:func:`gamma_sweep` and :func:`gamma_surface` tabulate the function on
-grids for plotting, skipping (and recording) any gamma where the combined
-predictor is constant.
-
-With a second control, a1*(gamma, gamma3) on ``x1 - gamma*x2 - gamma3*x3``
-is the same rational function with the third column's terms appended.  The
-scalar, sweep and surface evaluators, and the root ``c12``, read one matrix
-of centered moments per call, so a G x G surface costs O(n + G**2) and never
-rebuilds the combined column; a sweep value at gamma and a surface value at
-``(gamma, 0)`` are bit-identical to ``slope_on_gamma`` at the same gamma.
+One evaluator serves them all, in the paper's basis: with c the slopes of
+x1 on the controls and ``d = c - gamma``, ``x1 - gamma.x = x1* + d.x``, so
+``a1* = (cov(x1*, y) + d.cov(x, y)) / (var(x1*) + 2 d.cov(x1*, x) + d'Sd)``
+with S the controls' covariance, a denominator that does not cancel near
+the root ``d = 0``.  A sweep is a one-control surface: b1, c and x1* come
+from one pass over the rows and the moments of ``[y, x1*, *controls]``
+from one call, so a G x G surface costs O(n + G**2).
+:func:`slope_on_gamma` is the evaluator on a one-point grid, bit for bit
+the sweep's value; a surface's ``gamma3 = 0`` line expands in another x1*
+(residualized on both controls) and matches the sweep to rounding.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .errors import (
     SingularDesign,
     ZeroLeadSlope,
 )
-from .ols import RegressionFit, _simple_from_moments, fit
+from .ols import RegressionFit
 from .stats import _central_moments
 from .transform import _residualized, residualize_with
 
@@ -58,7 +55,8 @@ __all__ = [
 ]
 
 #: The combined predictor counts as constant when its variance is at or
-#: below this fraction of the variance scale ``var(x1) + gamma**2 var(x2)``.
+#: below this fraction of ``var(x1*) + sum_j d_j**2 var(x_j)`` (in
+#: :func:`combined_slope`, of ``var(x1) + sum_j gamma_j**2 var(x_j)``).
 DENOMINATOR_FLOOR = 1e-12
 
 #: A listed root must reproduce the reference slope this closely
@@ -115,59 +113,64 @@ def _checked_grid(*axes: Sequence[float]) -> list[np.ndarray]:
     return grids
 
 
-def _rational_parts(moments: list[list[float]], gamma, gamma3=None):
-    """Numerator, denominator, and denominator scale of a1*, from the
-    centered moments of ``(response, x1, x2[, x3])``.
+def _family(ds: Dataset, response: str, x1: str, controls: list[str]):
+    """The fit of ``response`` on ``[x1, *controls]``, x1's slopes c on the
+    controls and the moments of ``[response, x1*, *controls]``."""
+    full, residual, augmented = _residualized(ds, response, x1, controls)
+    cross = _central_moments(augmented,
+                             [response, residual.name, *controls])[1]
+    return full, residual.control_coefficients, cross
 
-    ``gamma`` (and ``gamma3``) may be floats or broadcastable arrays; the
-    expression is written once so every path rounds identically.  The third
-    control's terms come after the first's, so at ``gamma3 == 0`` they add
-    exact zeros and the result is bit-identical to the one-control value.
-    Raises :class:`SingularDesign` if a part overflows the double range,
-    which the squared gammas do from about ``|gamma| = 1e154`` on.
+
+def _slopes(cross: list[list[float]], weights: Sequence[float],
+            gammas) -> np.ndarray:
+    """a1* at the gammas (one array per control), NaN where the combined
+    predictor ``w.(x1*, *controls)``, ``w = (1, d)``, is constant.
+
+    Each point is summed elementwise in one order, whatever the grid, and
+    at ``d = 0`` is ``cov(x1*, y) / var(x1*)``, the residualized-slope
+    claim's arithmetic.  Raises :class:`SingularDesign` if a part overflows
+    the double range, as ``d**2`` does from about ``|gamma| = 1e154`` on.
     """
-    c1y, c2y, v1, c12, v2 = (moments[0][1], moments[0][2], moments[1][1],
-                             moments[1][2], moments[2][2])
     with np.errstate(over="ignore", invalid="ignore"):
-        numerator = c1y - gamma * c2y
-        denominator = v1 - (2.0 * gamma) * c12 + (gamma * gamma) * v2
-        scale = v1 + (gamma * gamma) * v2
-        if gamma3 is not None:
-            c3y, c13, c23, v3 = moments[3]  # the x3 row
-            numerator = numerator - gamma3 * c3y
-            denominator = (denominator - (2.0 * gamma3) * c13
-                           + (2.0 * gamma * gamma3) * c23
-                           + (gamma3 * gamma3) * v3)
-            scale = scale + (gamma3 * gamma3) * v3
-    parts = numerator, denominator, scale  # all of the gammas' shape
-    if not np.isfinite(parts).all():
+        w = [1.0, *(c - np.asarray(g, dtype=np.float64)
+                    for c, g in zip(weights, gammas))]
+        numerator = denominator = scale = 0.0
+        for i, wi in enumerate(w):
+            row = cross[i + 1]
+            numerator = numerator + wi * row[0]
+            inner = wi * row[i + 1]  # w'Cw, off-diagonal pairs twice
+            for j in range(i):
+                inner = inner + (2.0 * w[j]) * row[j + 1]
+            denominator = denominator + wi * inner
+            scale = scale + (wi * wi) * row[i + 1]
+    if not np.isfinite((numerator, denominator, scale)).all():
         raise SingularDesign(
             "the slope a1* overflows the double range at these gammas")
-    return parts
-
-
-def _slope_from_moments(moments: list[list[float]], gamma: float,
-                        x1: str, x2: str) -> float:
-    numerator, denominator, scale = _rational_parts(moments, gamma)
-    if denominator <= DENOMINATOR_FLOOR * scale:
-        raise DegenerateDirection(
-            f"{x1} - {gamma!r}*{x2} is constant "
-            f"(variance {denominator!r})")
-    return numerator / denominator
+    return np.divide(numerator, denominator,
+                     out=np.full(np.shape(denominator), np.nan),
+                     where=denominator > DENOMINATOR_FLOOR * scale)
 
 
 def slope_on_gamma(ds: Dataset, response: str, x1: str, x2: str,
                    gamma: float) -> float:
-    """Evaluate a1*(gamma), the slope of ``response`` on ``x1 - gamma*x2``.
+    """Evaluate a1*(gamma), the slope of ``response`` on ``x1 - gamma*x2``:
+    :func:`gamma_sweep`'s value at ``gamma``, bit for bit.
 
     Raises
     ------
+    SingularDesign
+        Propagated from the fit of ``response`` on ``(x1, x2)``.
     DegenerateDirection
-        If ``var(x1 - gamma * x2)`` is zero relative to its scale, i.e. the
-        combined predictor is constant at this gamma.
+        If ``x1 - gamma * x2`` is constant relative to its scale, which
+        no design that fit accepts allows.
     """
-    moments = _central_moments(ds, [response, x1, x2])[1]
-    return _slope_from_moments(moments, float(gamma), x1, x2)
+    _, weights, cross = _family(ds, response, x1, [x2])
+    value, = _slopes(cross, weights, [[float(gamma)]]).tolist()
+    if math.isnan(value):
+        raise DegenerateDirection(
+            f"{x1} - {gamma!r}*{x2} is constant relative to its scale")
+    return value
 
 
 def combined_slope(ds: Dataset, response: str, x1: str,
@@ -175,10 +178,11 @@ def combined_slope(ds: Dataset, response: str, x1: str,
                    gammas: Sequence[float]) -> float:
     """Slope of ``response`` on ``x1 - sum_j gammas[j] * controls[j]``.
 
-    The general-k companion of :func:`slope_on_gamma`, read from the moments
-    of the column ``residualize_with`` builds, not from the rational
-    function.  With one control the two agree to rounding; cross-checking
-    them is a test, so they share the moment routine, not the formula.
+    The data route, read from the moments of the column
+    ``residualize_with`` builds: cross-checking it against the closed form
+    is a test, so they share the moment routine, not the formula.  Its
+    floor's scale, ``var(x1) + sum_j gammas[j]**2 var(x_j)``, grows with
+    the gammas.
     """
     controls = list(controls)
     gammas = [float(g) for g in gammas]
@@ -218,26 +222,32 @@ def gamma_roots(ds: Dataset, response: str, x1: str, x2: str
         If ``|b1|`` is zero relative to the natural slope scale
         ``sd(response)/sd(x1)``, making ``-b2/b1`` undefined.
     """
-    return _roots_from_fit(fit(ds, response, (x1, x2)),
-                           _central_moments(ds, [response, x1, x2])[1])
+    return _roots(*_family(ds, response, x1, [x2]))
 
 
-def _roots_from_fit(full: RegressionFit, moments: list[list[float]]
-                    ) -> tuple[float, ...]:
-    """:func:`gamma_roots` given the fit of the response on ``(x1, x2)``
-    and the moments of ``(response, x1, x2)``."""
+def _roots(full: RegressionFit, weights: Sequence[float],
+           cross: list[list[float]]) -> tuple[float, ...]:
+    """:func:`gamma_roots` from :func:`_family`'s output, reading
+    ``var(x1) = var(x1* + c12 x2)`` from the moments."""
+    (c12,) = weights
+    return _roots_from_fit(full, c12, cross[0][0], cross[1][1] + c12 * (
+        2.0 * cross[1][2] + c12 * cross[2][2]))
+
+
+def _roots_from_fit(full: RegressionFit, c12: float, var_y: float,
+                    var_x1: float) -> tuple[float, ...]:
+    """:func:`gamma_roots` given the fit of the response on ``(x1, x2)``,
+    c12 solved on the same R, and the variances of the response and x1."""
     x1, (b1, b2) = full.predictors[0], full.slopes
-    slope_scale = max(1.0, math.sqrt(moments[0][0])
-                      / math.sqrt(moments[1][1]))
+    slope_scale = max(1.0, math.sqrt(var_y) / math.sqrt(var_x1))
     if abs(b1) <= _LEAD_SLOPE_FLOOR * slope_scale:
         raise ZeroLeadSlope(
             f"slope on {x1!r} is {b1!r}, within rounding of zero; "
             f"-b2/b1 is undefined")
-    first = moments[1][2] / moments[2][2]  # c12, the slope of x1 on x2
     second = -b2 / b1
-    if abs(first - second) <= _ROOT_MERGE_SPACING:
-        return (first,)
-    return tuple(sorted((first, second)))
+    if abs(c12 - second) <= _ROOT_MERGE_SPACING:
+        return (c12,)
+    return tuple(sorted((c12, second)))
 
 
 @dataclass(frozen=True)
@@ -282,29 +292,35 @@ class GammaSweep:
                     f"point {point} does not have {width} coordinates")
 
 
-def _check_root(value: float, reference_slope: float, point: tuple) -> None:
-    bound = ROOT_MATCH_TOLERANCE * max(1.0, abs(reference_slope))
-    if abs(value - reference_slope) > bound:
-        raise NumericalOvershoot(
-            f"slope at root {point} is {value!r}, expected "
-            f"{reference_slope!r} within {bound:.3g}; the data are too ill "
-            f"conditioned for a trustworthy sweep annotation")
-
-
-def _tabulate(moments: list[list[float]], axis_names: tuple[str, ...],
-              grids: tuple[np.ndarray, ...], reference_slope: float,
-              roots: tuple[tuple[float, ...], ...]) -> GammaSweep:
-    """a1* over the row-major product of ``grids``; points where the
+def _tabulate(ds: Dataset, response: str, x1: str, controls: list[str],
+              grids: list[np.ndarray]) -> GammaSweep:
+    """a1* over the row-major product of ``grids``, one per control,
+    annotated with the roots once each reproduces b1; points where the
     combined predictor is constant are skipped and recorded."""
+    full, weights, cross = _family(ds, response, x1, controls)
+    b1, roots = full.slopes[0], (weights,)
+    if len(controls) == 1:
+        try:
+            roots = tuple((root,) for root in _roots(full, weights, cross))
+        except ZeroLeadSlope:
+            pass  # c12 remains
+    bound = ROOT_MATCH_TOLERANCE * max(1.0, abs(b1))
+    at_roots = _slopes(cross, weights, np.transpose(roots)).tolist()
+    for root, value in zip(roots, at_roots):
+        if not abs(value - b1) <= bound:  # so an undefined (NaN) root too
+            raise NumericalOvershoot(
+                f"slope at root {root} is {value!r}, expected {b1!r} "
+                f"within {bound:.3g}; the data are too ill conditioned "
+                f"for a trustworthy sweep annotation")
     axes = np.meshgrid(*grids, indexing="ij")
-    numerator, denominator, scale = _rational_parts(moments, *axes)
-    defined = denominator > DENOMINATOR_FLOOR * scale
+    values = _slopes(cross, weights, axes)
+    defined = ~np.isnan(values)
     return GammaSweep(
-        axis_names=axis_names,
+        axis_names=("gamma", "gamma3")[:len(grids)],
         grids=tuple(tuple(grid.tolist()) for grid in grids),
         points=tuple(zip(*(axis[defined].tolist() for axis in axes))),
-        values=tuple((numerator[defined] / denominator[defined]).tolist()),
-        reference_slope=reference_slope,
+        values=tuple(values[defined].tolist()),
+        reference_slope=b1,
         roots=roots,
         undefined_points=tuple(zip(*(axis[~defined].tolist()
                                      for axis in axes))),
@@ -316,24 +332,13 @@ def gamma_sweep(ds: Dataset, response: str, x1: str, x2: str,
     """Tabulate a1*(gamma) on a grid, annotated with its roots.
 
     ``reference_slope`` is the multiple-regression slope of ``response`` on
-    ``(x1, x2)``.  Grid points with a constant combined predictor are
-    skipped and recorded, never interpolated.  If the lead slope is zero
-    (so ``-b2/b1`` does not exist) the sweep still carries the remaining
-    root ``c12``.  More than :data:`MAX_GRID_POINTS` raise GridTooLarge.
+    ``(x1, x2)``; the sweep is a one-control :func:`gamma_surface`.  Grid
+    points with a constant combined predictor are skipped and recorded,
+    never interpolated.  If the lead slope is zero (so ``-b2/b1`` does not
+    exist) the sweep still carries the remaining root ``c12``.  More than
+    :data:`MAX_GRID_POINTS` raise GridTooLarge.
     """
-    grid, = _checked_grid(gammas)
-    full = fit(ds, response, (x1, x2))
-    reference_slope = full.slopes[0]
-    moments = _central_moments(ds, [response, x1, x2])[1]
-    try:
-        roots = _roots_from_fit(full, moments)
-    except ZeroLeadSlope:
-        roots = (moments[1][2] / moments[2][2],)
-    for root in roots:
-        _check_root(_slope_from_moments(moments, root, x1, x2),
-                    reference_slope, (root,))
-    return _tabulate(moments, ("gamma",), (grid,), reference_slope,
-                     tuple((float(r),) for r in roots))
+    return _tabulate(ds, response, x1, [x2], _checked_grid(gammas))
 
 
 def gamma_surface(ds: Dataset, response: str, x1: str,
@@ -346,22 +351,13 @@ def gamma_surface(ds: Dataset, response: str, x1: str,
     ``response`` on ``x1 - g2*controls[0] - g3*controls[1]``; at
     ``(c12, c13)``, the slopes of ``x1`` on the controls, it equals the
     three-predictor multiple slope ``b1``, and that point is the surface's
-    root annotation.  ``b1``, the root and x1* come from one pass over the
-    rows, the values from one moment call, and the root check is the
-    residualized-slope claim at the root.  Points are row-major: ``gamma3``
+    root annotation, checked as the residualized-slope claim: there the
+    value is the simple slope on x1*.  Points are row-major: ``gamma3``
     varies fastest.  More than :data:`MAX_GRID_POINTS` raise GridTooLarge.
     """
     controls = list(controls)
     if len(controls) != 2:
         raise LengthMismatch(
             f"surface needs exactly 2 controls, got {len(controls)}")
-    grid2, grid3 = _checked_grid(gammas2, gammas3)
-    # Moments first, so x1* is not alive while they center four columns.
-    moments = _central_moments(ds, [response, x1, *controls])[1]
-    full, residual, augmented = _residualized(ds, response, x1, controls)
-    root = residual.control_coefficients
-    means, cross = _central_moments(augmented, [residual.name, response])
-    _check_root(_simple_from_moments(means, cross, 1, 0, residual.name)[1],
-                full.slopes[0], root)
-    return _tabulate(moments, ("gamma", "gamma3"), (grid2, grid3),
-                     full.slopes[0], (root,))
+    return _tabulate(ds, response, x1, controls,
+                     _checked_grid(gammas2, gammas3))

@@ -16,7 +16,8 @@ round trip is what :func:`map_coefficients` is for.
 One routine builds every combined column, residualized, transformed or fed
 to ``gamma.combined_slope``, so equal weights give equal bits on every route.
 ``_residualized`` is the one construction of x1*, the paper's new variable:
-the suite and ``gamma_surface`` read b1, x1* and its slopes from one R.
+the suite and every ``gamma`` evaluator, which works in the basis
+``(x1*, *controls)``, read b1, x1* and its slopes from one R.
 """
 
 from __future__ import annotations

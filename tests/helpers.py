@@ -34,13 +34,20 @@ def rescaled_x1_dataset(scale: float) -> Dataset:
     return Dataset({"X1": x1 * scale, "X2": x2, "X3": x3, "Y": y})
 
 
-def overshooting_sweep_dataset() -> Dataset:
-    """X1 = X2 + 1e-5 * noise, n = 30: b1 is about 2e4 and the sweep's
-    closed form at the root c12 misses it by more than
-    ``ROOT_MATCH_TOLERANCE`` allows."""
+def x1_near_x2_dataset(epsilon: float) -> Dataset:
+    """X1 = X2 + epsilon * noise, n = 30: b1 is about 2e-1 / epsilon and
+    the design's condition about 1.9 / epsilon."""
     x2, noise, e = np.random.default_rng(0).normal(size=(3, 30))
-    x1 = x2 + 1e-5 * noise
+    x1 = x2 + epsilon * noise
     return Dataset({"X1": x1, "X2": x2, "Y": e + x1})
+
+
+def overshooting_sweep_dataset() -> Dataset:
+    """The epsilon = 1e-8 member of :func:`x1_near_x2_dataset`: its design
+    condition, 1.9e8, is under ``CONDITION_LIMIT``, but the residualized
+    slope misses b1 = 2.1e7 by 2.66, beyond the 0.215 that
+    ``ROOT_MATCH_TOLERANCE`` and the claim's default tolerance allow."""
+    return x1_near_x2_dataset(1e-8)
 
 
 def random_dataset(rng: np.random.Generator, n: int, k: int, *,

@@ -13,6 +13,7 @@ from helpers import (
     random_dataset,
     sign_change_count,
     spy_moment_calls,
+    x1_near_x2_dataset,
 )
 import partialreg.gamma
 import partialreg.ols
@@ -41,6 +42,10 @@ from partialreg import (
     verify_residualized_slope,
 )
 from partialreg.ols import _factor, _solve
+
+#: Unit roundoff: the closed forms are held to 10 u kappa against the
+#: oracle, kappa being ``fit``'s ``condition_estimate`` of the design.
+U = 2.0 ** -53
 
 D1_B1 = float(Fraction(15, 11))
 D1_ROOTS = (float(Fraction(-4, 15)), float(Fraction(31, 35)))
@@ -171,13 +176,6 @@ class TestSlopeOnGamma:
             assert abs(direct - refit.slopes[0]) <= \
                 1e-10 * max(1.0, abs(direct))
 
-    def test_constant_combination_raises(self):
-        ds = near_collinear_dataset()
-        with pytest.raises(DegenerateDirection):
-            slope_on_gamma(ds, "Y", "X1", "X2", 1.0)
-        # Away from the collapse the function is perfectly usable.
-        slope_on_gamma(ds, "Y", "X1", "X2", 0.0)
-
     def test_far_gammas_approach_zero(self, d1):
         # The horizontal axis is an asymptote on both sides.
         at_zero = slope_on_gamma(d1, "Y", "X1", "X2", 0.0)
@@ -264,7 +262,10 @@ class TestCombinedSlope:
         calls = spy_moment_calls(monkeypatch)
         gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"], [0.0, 1.0],
                       [-1.0, 0.5])
-        assert calls == [["Y", "X1", "X2", "X3"], ["X1*", "Y"]]
+        assert calls == [["Y", "X1*", "X2", "X3"]]
+        calls.clear()
+        gamma_sweep(d1_extended, "Y", "X1", "X2", [0.0, 1.0])
+        assert calls == [["Y", "X1*", "X2"]]
 
 
 class TestGammaRoots:
@@ -295,6 +296,18 @@ class TestGammaRoots:
     def test_zero_lead_slope_raises(self):
         with pytest.raises(ZeroLeadSlope):
             gamma_roots(zero_lead_slope_dataset(), "Y", "X1", "X2")
+
+    def test_c12_is_the_auxiliary_solve_on_the_one_r(self, d1):
+        # gamma_roots and the sweep's annotation read one c12, bit for bit.
+        rng = np.random.default_rng(59)
+        names = ["X1", "X2", "Y"]
+        for ds in [d1, *(random_dataset(rng, n=int(rng.integers(8, 300)),
+                                        k=2) for _ in range(20))]:
+            c12 = _solve(_factor(ds, names), names, 0, (1,)).slopes[0]
+            roots = gamma_roots(ds, "Y", "X1", "X2")
+            assert c12 in roots
+            assert gamma_sweep(ds, "Y", "X1", "X2", [0.0]).roots == \
+                tuple((root,) for root in roots)
 
     def test_random_data_roots_reproduce_b1(self):
         rng = np.random.default_rng(300)
@@ -362,6 +375,26 @@ class TestGammaSweep:
     def test_ill_conditioned_root_is_a_numerical_overshoot(self):
         with pytest.raises(NumericalOvershoot, match="slope at root"):
             gamma_sweep(overshooting_sweep_dataset(), "Y", "X1", "X2", [0.0])
+
+    @pytest.mark.parametrize("epsilon", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_overshoots_exactly_where_the_residualized_slope_claim_fails(
+            self, epsilon):
+        ds = x1_near_x2_dataset(epsilon)
+        if verify_residualized_slope(ds, "Y", "X1", ["X2"]).passed:
+            gamma_sweep(ds, "Y", "X1", "X2", [0.0])
+        else:
+            with pytest.raises(NumericalOvershoot, match="slope at root"):
+                gamma_sweep(ds, "Y", "X1", "X2", [0.0])
+
+    def test_value_at_c12_is_the_residualized_slope_claim(self, d1):
+        rng = np.random.default_rng(53)
+        names = ["X1", "X2", "Y"]
+        for ds in [d1, *(random_dataset(rng, n=int(rng.integers(8, 300)),
+                                        k=2) for _ in range(20))]:
+            c12 = _solve(_factor(ds, names), names, 0, (1,)).slopes[0]
+            claim = verify_residualized_slope(ds, "Y", "X1", ["X2"])
+            assert gamma_sweep(ds, "Y", "X1", "X2", [c12]).values == \
+                claim.rhs
 
     def test_rejects_bad_grid(self, d1):
         with pytest.raises(ValueError):
@@ -465,23 +498,30 @@ class TestGammaSurface:
         assert surface.reference_slope == b1
         assert b1 == pytest.approx(11 / 4, rel=1e-10)
 
+    # The surface expands in x1* residualized on both controls, the sweep
+    # in x1* residualized on x2 alone, so their gamma3 = 0 lines agree to
+    # rounding, not bit for bit; sweep and scalar share every bit.
     def test_gamma3_zero_line_reduces_to_one_control_sweep(self, d1_extended):
         surface = gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"],
                                 [-1.0, 0.25, 2.0], [0.0])
+        kappa = fit(d1_extended, "Y", ["X1", "X2", "X3"]).condition_estimate
         for (g2, _), value in zip(surface.points, surface.values):
-            assert value == slope_on_gamma(d1_extended, "Y", "X1", "X2", g2)
+            want = slope_on_gamma(d1_extended, "Y", "X1", "X2", g2)
+            assert abs(value - want) <= 10 * U * kappa * abs(want)
 
     def test_gamma3_zero_line_matches_where_blas_threads(self):
         # At 200_003 rows BLAS splits each moment's dot product across
-        # threads; surface, sweep and scalar must still agree bit for bit.
+        # threads; sweep and scalar must still agree bit for bit.
         ds = random_dataset(np.random.default_rng(7), n=200_003, k=3)
         gammas = [-1.0, 0.25, 2.0]
         surface = gamma_surface(ds, "Y", "X1", ["X2", "X3"], gammas, [0.0])
         sweep = gamma_sweep(ds, "Y", "X1", "X2", gammas)
+        kappa = fit(ds, "Y", ["X1", "X2", "X3"]).condition_estimate
         assert len(surface.values) == len(sweep.values) == len(gammas)
         for (g2, _), value, swept in zip(surface.points, surface.values,
                                          sweep.values):
-            assert value == swept == slope_on_gamma(ds, "Y", "X1", "X2", g2)
+            assert swept == slope_on_gamma(ds, "Y", "X1", "X2", g2)
+            assert abs(value - swept) <= 10 * U * kappa * abs(swept)
 
     def test_reads_the_rows_once(self, monkeypatch, d1_extended):
         passes = []
@@ -495,11 +535,15 @@ class TestGammaSurface:
         monkeypatch.setattr(partialreg.transform, "_factor", counting_factor)
         gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"], [0.0], [0.0])
         assert passes == [["X1", "X2", "X3", "Y"]]
+        passes.clear()
+        gamma_sweep(d1_extended, "Y", "X1", "X2", [0.0, 1.0])
+        assert passes == [["X1", "X2", "Y"]]
 
     def test_root_check_is_the_residualized_slope_claim(self, d1_extended):
-        # One construction of x1*: at the surface root, combined_slope, the
-        # residualized-slope claim and fit_simple on the merged column read
-        # the same column and the same moments.
+        # One construction of x1*: at the surface root, the surface's own
+        # value, combined_slope, the residualized-slope claim and
+        # fit_simple on the merged column read the same column and the
+        # same moments.
         rng = np.random.default_rng(43)
         controls = ["X2", "X3"]
         for ds in [d1_extended, *(random_dataset(rng, n=int(rng.integers(
@@ -508,6 +552,8 @@ class TestGammaSurface:
                                     [0.0]).roots
             residual = residualize_with(ds, "X1", controls, root)
             slopes = {
+                *gamma_surface(ds, "Y", "X1", controls, [root[0]],
+                               [root[1]]).values,
                 combined_slope(ds, "Y", "X1", controls, root),
                 verify_residualized_slope(ds, "Y", "X1", controls).rhs[0],
                 fit_simple(residual.merged_into(ds), "Y",
@@ -622,3 +668,70 @@ class TestGammaSurface:
         with pytest.raises(ValueError):
             gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"],
                           [0.0], [float("inf")])
+
+
+def delta_family_dataset(delta: float, n: int = 50) -> Dataset:
+    # X3 = x1 + x2 + delta * noise: x1 is nearly in the span of the
+    # controls, so x1* is of size delta and the condition grows like 1/delta.
+    x1, x2, noise, e = np.random.default_rng(7).normal(size=(4, n))
+    x3 = x1 + x2 + delta * noise
+    return Dataset({"X1": x1, "X2": x2, "X3": x3,
+                    "Y": x1 + 2.0 * x2 - x3 + e})
+
+
+class TestAgainstTheOracle:
+    """Each closed-form value is within 10 u kappa, relative, of the exact
+    rational value, kappa being ``fit``'s condition estimate of the design.
+    The data put x1 near the span of its controls, where an expansion over
+    the raw columns' moments cancels at the roots."""
+
+    @staticmethod
+    def check(ds, predictors, got, want):
+        bound = 10 * U * fit(ds, "Y", predictors).condition_estimate
+        assert len(got) == len(want)
+        for value, exact in zip(got, want):
+            assert abs(Fraction(value) - exact) <= bound * abs(exact)
+
+    @staticmethod
+    def exact_columns(ds):
+        return {name: [Fraction(v) for v in ds.column(name)]
+                for name in ds.names}
+
+    @pytest.mark.parametrize("epsilon", [1e-5, 1e-6, 1e-7])
+    def test_sweep(self, epsilon):
+        ds = x1_near_x2_dataset(epsilon)
+        c12 = fit(ds, "X1", ["X2"]).slopes[0]
+        gammas = [*gamma_roots(ds, "Y", "X1", "X2"), c12 - 1e-3, c12 + 0.5,
+                  -2.0, 0.0, 2.0, 50.0]
+        sweep = gamma_sweep(ds, "Y", "X1", "X2", gammas)
+        assert sweep.undefined_points == ()
+        cols = self.exact_columns(ds)
+        self.check(ds, ["X1", "X2"], sweep.values, [
+            oracle.slope_on_gamma(cols["Y"], cols["X1"], cols["X2"], gamma)
+            for gamma in gammas])
+
+    def test_scalar_where_the_combination_is_small_not_constant(self):
+        # At gamma = 1, x1 - x2 is 1e-7 * noise: small, but not constant.
+        ds = near_collinear_dataset()
+        cols = self.exact_columns(ds)
+        gammas = [0.0, 1.0]
+        self.check(ds, ["X1", "X2"],
+                   [slope_on_gamma(ds, "Y", "X1", "X2", g) for g in gammas],
+                   [oracle.slope_on_gamma(cols["Y"], cols["X1"], cols["X2"],
+                                          g) for g in gammas])
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+    def test_surface(self, delta):
+        ds = delta_family_dataset(delta)
+        controls = ["X2", "X3"]
+        (c2, c3), = gamma_surface(ds, "Y", "X1", controls, [0.0],
+                                  [0.0]).roots
+        surface = gamma_surface(ds, "Y", "X1", controls,
+                                [c2 - 1e-3, c2, c2 + 1e-3, -1.0, 0.5],
+                                [c3 - 1e-3, c3, c3 + 1e-3, 0.0, 1.0])
+        assert surface.undefined_points == ()
+        cols = self.exact_columns(ds)
+        self.check(ds, ["X1", *controls], surface.values, [
+            oracle.combined_slope(cols["Y"], cols["X1"],
+                                  [cols[name] for name in controls], point)
+            for point in surface.points])
