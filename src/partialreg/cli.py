@@ -41,7 +41,7 @@ from pathlib import Path
 
 from .dataset import Dataset
 from .errors import GridTooLarge, ParseError, PartialRegError, ZeroLeadSlope
-from .gamma import _roots_from_fit, gamma_surface, gamma_sweep, grid_points
+from .gamma import _roots, gamma_surface, gamma_sweep, grid_points
 from .identities import (
     DEFAULT_TOLERANCE,
     _checked_tolerance,
@@ -270,8 +270,8 @@ def _cmd_verify(args: argparse.Namespace, ds: Dataset):
 def _cmd_report(args: argparse.Namespace, ds: Dataset):
     response, x1, controls = args.response, args.x1, args.controls
     names = [x1, *controls]
-    reports, full, residual = _suite(ds, response, x1, controls,
-                                     args.tolerance)
+    reports, (full, residual, _, cross) = _suite(ds, response, x1, controls,
+                                                 args.tolerance)
     lines: list[str] = []
     lines.append(f"dataset {args.input_path}: n={ds.n}, "
                  f"columns {', '.join(ds.names)}")
@@ -288,9 +288,9 @@ def _cmd_report(args: argparse.Namespace, ds: Dataset):
     lines.append("")
 
     lines.append("simple fits")
-    means, cross = _central_moments(ds, [response, *names])
+    raw = _central_moments(ds, [response, *names])  # x1's own mean, too
     for i, name in enumerate(names, 1):
-        intercept, slope, _ = _simple_from_moments(means, cross, 0, i, name)
+        intercept, slope, _ = _simple_from_moments(*raw, 0, i, name)
         lines.append(f"  {response} ~ {name}: intercept "
                      f"{format_number(intercept)}, slope "
                      f"{format_number(slope)}")
@@ -303,9 +303,8 @@ def _cmd_report(args: argparse.Namespace, ds: Dataset):
     lines.append(f"residualized predictor {residual.name} = {x1} - {pieces}")
     if len(controls) == 1:
         try:
-            roots = _roots_from_fit(full, residual.control_coefficients[0],
-                                    cross[0][0], cross[1][1])
-            shown = ", ".join(format_number(r) for r in roots)
+            shown = ", ".join(map(format_number,
+                                  _roots(full, residual, cross)))
             lines.append(f"gammas where the combined-predictor slope "
                          f"equals the multiple slope: {shown}")
         except ZeroLeadSlope:

@@ -12,9 +12,9 @@ One evaluator serves them all, in the paper's basis: with c the slopes of
 x1 on the controls and ``d = c - gamma``, ``x1 - gamma.x = x1* + d.x``, so
 ``a1* = (cov(x1*, y) + d.cov(x, y)) / (var(x1*) + 2 d.cov(x1*, x) + d'Sd)``
 with S the controls' covariance, a denominator that does not cancel near
-the root ``d = 0``.  A sweep is a one-control surface: b1, c and x1* come
-from one pass over the rows and the moments of ``[y, x1*, *controls]``
-from one call, so a G x G surface costs O(n + G**2).
+the root ``d = 0``.  A sweep is a one-control surface: ``transform._family``
+gives b1, c, x1* and the moments of ``[y, x1*, *controls]`` from one pass
+over the rows and one call, so a G x G surface costs O(n + G**2).
 :func:`slope_on_gamma` is the evaluator on a one-point grid, bit for bit
 the sweep's value; a surface's ``gamma3 = 0`` line expands in another x1*
 (residualized on both controls) and matches the sweep to rounding.
@@ -37,9 +37,8 @@ from .errors import (
     SingularDesign,
     ZeroLeadSlope,
 )
-from .ols import RegressionFit
 from .stats import _central_moments
-from .transform import _residualized, residualize_with
+from .transform import _family, _x1_moments, residualize_with
 
 __all__ = [
     "DENOMINATOR_FLOOR",
@@ -113,15 +112,6 @@ def _checked_grid(*axes: Sequence[float]) -> list[np.ndarray]:
     return grids
 
 
-def _family(ds: Dataset, response: str, x1: str, controls: list[str]):
-    """The fit of ``response`` on ``[x1, *controls]``, x1's slopes c on the
-    controls and the moments of ``[response, x1*, *controls]``."""
-    full, residual, augmented = _residualized(ds, response, x1, controls)
-    cross = _central_moments(augmented,
-                             [response, residual.name, *controls])[1]
-    return full, residual.control_coefficients, cross
-
-
 def _slopes(cross: list[list[float]], weights: Sequence[float],
             gammas) -> np.ndarray:
     """a1* at the gammas (one array per control), NaN where the combined
@@ -157,6 +147,10 @@ def slope_on_gamma(ds: Dataset, response: str, x1: str, x2: str,
     """Evaluate a1*(gamma), the slope of ``response`` on ``x1 - gamma*x2``:
     :func:`gamma_sweep`'s value at ``gamma``, bit for bit.
 
+    Each call makes one tiled pass over the rows, one x1* build and one
+    moment call, as a whole sweep does; to evaluate many gammas, call
+    :func:`gamma_sweep` once with all of them.
+
     Raises
     ------
     SingularDesign
@@ -165,8 +159,9 @@ def slope_on_gamma(ds: Dataset, response: str, x1: str, x2: str,
         If ``x1 - gamma * x2`` is constant relative to its scale, which
         no design that fit accepts allows.
     """
-    _, weights, cross = _family(ds, response, x1, [x2])
-    value, = _slopes(cross, weights, [[float(gamma)]]).tolist()
+    _, residual, _, cross = _family(ds, response, x1, [x2])
+    value, = _slopes(cross, residual.control_coefficients,
+                     [[float(gamma)]]).tolist()
     if math.isnan(value):
         raise DegenerateDirection(
             f"{x1} - {gamma!r}*{x2} is constant relative to its scale")
@@ -222,24 +217,17 @@ def gamma_roots(ds: Dataset, response: str, x1: str, x2: str
         If ``|b1|`` is zero relative to the natural slope scale
         ``sd(response)/sd(x1)``, making ``-b2/b1`` undefined.
     """
-    return _roots(*_family(ds, response, x1, [x2]))
+    full, residual, _, cross = _family(ds, response, x1, [x2])
+    return _roots(full, residual, cross)
 
 
-def _roots(full: RegressionFit, weights: Sequence[float],
-           cross: list[list[float]]) -> tuple[float, ...]:
-    """:func:`gamma_roots` from :func:`_family`'s output, reading
-    ``var(x1) = var(x1* + c12 x2)`` from the moments."""
-    (c12,) = weights
-    return _roots_from_fit(full, c12, cross[0][0], cross[1][1] + c12 * (
-        2.0 * cross[1][2] + c12 * cross[2][2]))
-
-
-def _roots_from_fit(full: RegressionFit, c12: float, var_y: float,
-                    var_x1: float) -> tuple[float, ...]:
-    """:func:`gamma_roots` given the fit of the response on ``(x1, x2)``,
-    c12 solved on the same R, and the variances of the response and x1."""
+def _roots(full, residual, cross) -> tuple[float, ...]:
+    """:func:`gamma_roots` from :func:`_family`'s fit, x1* and moments;
+    ``var(x1)`` follows from x1*'s moments by the transform law."""
+    (c12,) = residual.control_coefficients
+    var_x1 = _x1_moments(cross, c12)[1]
     x1, (b1, b2) = full.predictors[0], full.slopes
-    slope_scale = max(1.0, math.sqrt(var_y) / math.sqrt(var_x1))
+    slope_scale = max(1.0, math.sqrt(cross[0][0]) / math.sqrt(var_x1))
     if abs(b1) <= _LEAD_SLOPE_FLOOR * slope_scale:
         raise ZeroLeadSlope(
             f"slope on {x1!r} is {b1!r}, within rounding of zero; "
@@ -297,11 +285,12 @@ def _tabulate(ds: Dataset, response: str, x1: str, controls: list[str],
     """a1* over the row-major product of ``grids``, one per control,
     annotated with the roots once each reproduces b1; points where the
     combined predictor is constant are skipped and recorded."""
-    full, weights, cross = _family(ds, response, x1, controls)
+    full, residual, _, cross = _family(ds, response, x1, controls)
+    weights = residual.control_coefficients
     b1, roots = full.slopes[0], (weights,)
     if len(controls) == 1:
         try:
-            roots = tuple((root,) for root in _roots(full, weights, cross))
+            roots = tuple((root,) for root in _roots(full, residual, cross))
         except ZeroLeadSlope:
             pass  # c12 remains
     bound = ROOT_MATCH_TOLERANCE * max(1.0, abs(b1))

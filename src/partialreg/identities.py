@@ -24,16 +24,16 @@ not noise.  The checks:
     Slopes of the fit on a predictor subset equal the full-model slopes
     contracted with the matrix of predictor-on-subset slopes.
 
-The suite makes one pass over the rows, ``[x1, *controls, y]``.  Its R
-gives the collinearity gate and the full, subset and auxiliary fits, the
-last giving x1*'s weights.  Since ``[1, x1*, *controls, y]`` is that design
-times a small matrix T, the paper's transform law, the R of the x1* design
-is the R of ``R T``: the refit reads that derived R.  x1* is still built as
-data, and the moment route reads it: one moment pass over
-``[x1*, *controls, y]`` for the residualized slope, the multiple
-correlation of x1* with the controls and the zero slopes, and with one
-control one more over ``[x1, x2, y]`` for the slope relations.  So those
-four claims compare R with x1*'s or the raw columns' moments.  The refit
+The suite makes one pass over the rows, ``[x1, *controls, y]``, and one
+moment call.  The R gives the collinearity gate and the full, subset and
+auxiliary fits, the last giving x1*'s weights c.  Since
+``[1, x1*, *controls, y]`` is that design times a small matrix T, the
+paper's transform law, the R of the x1* design is the R of ``R T``: the
+refit reads that derived R.  x1* is still built as data, and the moments
+of ``[y, x1*, *controls]`` serve the residualized slope, the multiple
+correlation of x1* with the controls, the zero slopes and, with one
+control, the slope relations, which read x1's moments off x1*'s by the
+same law.  So those four claims compare R with x1*'s moments.  The refit
 claim compares the derived R with ``build_transform``'s map, and the
 aggregation claim reads the first R alone: it is kept as a consistency
 check of the solves, since a moment-route side for it is not accurate
@@ -58,8 +58,8 @@ from .errors import (
     SingularDesign,
 )
 from .ols import CONDITION_LIMIT, _factor, _simple_from_moments, _solve
-from .stats import _central_moments, _correlations, _multiple_correlation
-from .transform import _residualized, build_transform, map_coefficients
+from .stats import _correlations, _multiple_correlation
+from .transform import _family, _x1_moments, build_transform, map_coefficients
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -134,10 +134,9 @@ def _claim_name(control_count: int) -> str:
 
 def _residualized_report(full, residual, means, cross,
                          tolerance: float) -> VerificationReport:
-    """The residualized-slope claim, its simple slope taken from the
-    moments of ``[x1*, ..., response]``."""
-    simple = _simple_from_moments(means, cross, len(means) - 1, 0,
-                                  residual.name)[1]
+    """The residualized-slope claim from :func:`_family`'s output, its
+    simple slope taken from the moments of ``[response, x1*, ...]``."""
+    simple = _simple_from_moments(means, cross, 0, 1, residual.name)[1]
     return _report(_claim_name(len(residual.controls)),
                    full.slopes[0], simple, tolerance)
 
@@ -158,9 +157,8 @@ def verify_residualized_slope(ds: Dataset, response: str, x1: str,
     controls = list(controls)
     if not controls:
         raise ValueError("need at least one control")
-    full, residual, augmented = _residualized(ds, response, x1, controls)
-    return _residualized_report(full, residual, *_central_moments(
-        augmented, [residual.name, response]), tolerance)
+    return _residualized_report(*_family(ds, response, x1, controls),
+                                tolerance)
 
 
 def aggregate_coefficients(slopes: Sequence[float],
@@ -335,7 +333,7 @@ def _slope_on_residual(cross: list[list[float]], control: int,
 
 def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
            tolerance: float):
-    """The suite's reports, its fit on ``[x1, *controls]`` and x1*."""
+    """The suite's reports and :func:`_family`'s output."""
     _checked_tolerance(tolerance)
     controls = list(controls)
     if not controls:
@@ -356,14 +354,11 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
             f"would rewrite it")
 
     with _tag_claim(_claim_name(len(controls))):
-        full, residual, augmented = _residualized(
-            ds, response, x1, controls, r_raw)
-        if len(controls) == 1:  # the slope relations' moments
-            means, cross = _central_moments(ds, [*names, response])
-        union = [residual.name, *controls, response]
-        star_means, star_cross = _central_moments(augmented, union)
-        reports = [_residualized_report(full, residual, star_means,
-                                        star_cross, tolerance)]
+        family = _family(ds, response, x1, controls, r_raw)
+        full, residual, _, cross = family
+        reports = [_residualized_report(*family, tolerance)]
+    union = [residual.name, *controls, response]
+    star_cross = [row[1:] for row in cross[1:]]  # of [x1*, *controls]
 
     with _tag_claim("residual_uncorrelated_with_controls"):
         rho = _multiple_correlation(star_cross, union[:-1])
@@ -388,14 +383,17 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
                                mapped, refit.coefficients(), tolerance))
 
     if len(controls) == 1:
-        x2 = controls[0]
         with _tag_claim("two_predictor_slope_relations"):
-            a1, a2, c12, c21 = (
-                _simple_from_moments(means, cross, y, x, name)[1]
-                for y, x, name in ((2, 0, x1), (2, 1, x2), (0, 1, x2),
-                                   (1, 0, x1)))
+            # x1's moments follow from x1*'s; c cancels, since x1* was
+            # built with it, so this side reads x1*'s data, not R.
+            cov1y, var1, cov12 = _x1_moments(
+                cross, *residual.control_coefficients)
+            cov2y, var2 = cross[0][2], cross[2][2]
+            r = float(_correlations([[var1, cov12], [cov12, var2]],
+                                    names)[0, 1])
+            a1, a2 = cov1y / var1, cov2y / var2
+            c12, c21 = cov12 / var2, cov12 / var1
             b1, b2 = full.slopes
-            r = float(_correlations(cross, names)[0, 1])
             reports.append(_report(
                 "two_predictor_slope_relations",
                 (b1 * c12, b2 * c21, c12 * c21),
@@ -411,4 +409,4 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
         reports.append(_report("aggregation_recovers_subset_slopes",
                                aggregated, subset.slopes, tolerance))
 
-    return reports, full, residual
+    return reports, family

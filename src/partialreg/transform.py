@@ -15,9 +15,9 @@ round trip is what :func:`map_coefficients` is for.
 
 One routine builds every combined column, residualized, transformed or fed
 to ``gamma.combined_slope``, so equal weights give equal bits on every route.
-``_residualized`` is the one construction of x1*, the paper's new variable:
-the suite and every ``gamma`` evaluator, which works in the basis
-``(x1*, *controls)``, read b1, x1* and its slopes from one R.
+``_family`` owns x1*, the paper's new variable: b1, x1's slopes c and x1*
+from one R, and the moments of ``[y, x1*, *controls]`` from one call;
+``_x1_moments`` reads x1's moments off those by the transform law.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
     SingularTransform,
 )
 from .ols import _factor, _solve, fit
+from .stats import _central_moments
 
 __all__ = [
     "PredictorTransform",
@@ -235,18 +236,29 @@ def residualize_with(ds: Dataset, target: str, controls: Sequence[str],
     return ResidualizedVariable(name, target, controls, coefficients, values)
 
 
-def _residualized(ds: Dataset, response: str, x1: str, controls: list[str],
-                  r: np.ndarray | None = None):
-    """The full fit on ``[x1, *controls, response]``, x1* from the auxiliary
-    slopes on that same R, and ``ds`` augmented with x1*; ``r`` is the R of
-    those columns, factored here unless the caller already holds it."""
+def _family(ds: Dataset, response: str, x1: str, controls: list[str],
+            r: np.ndarray | None = None):
+    """The fit of ``response`` on ``[x1, *controls]``, x1* from x1's slopes
+    on the controls solved on the same R (``r``, factored unless given), and
+    the means and centered cross moments of ``[response, x1*, *controls]``."""
     union = [x1, *controls, response]
     if r is None:
         r = _factor(ds, union)
     full = _solve(r, union, len(controls) + 1, range(len(controls) + 1))
     aux = _solve(r, union, 0, range(1, len(controls) + 1))
     residual = residualize_with(ds, x1, controls, aux.slopes)
-    return full, residual, residual.merged_into(ds)
+    means, cross = _central_moments(residual.merged_into(ds),
+                                    [response, residual.name, *controls])
+    return full, residual, means, cross
+
+
+def _x1_moments(cross: list[list[float]],
+                c12: float) -> tuple[float, float, float]:
+    """``cov(x1, y)``, ``var(x1)`` and ``cov(x1, x2)`` from :func:`_family`'s
+    moments of ``[y, x1*, x2]``: moments are linear in each column, and
+    ``x1 = x1* + c12 x2`` is the paper's transform law."""
+    (_, sy, ty), (_, ss, st), (_, _, tt) = cross  # s is x1*, t is x2
+    return sy + c12 * ty, ss + c12 * (2.0 * st + c12 * tt), st + c12 * tt
 
 
 def build_transform(k: int, target_index: int,

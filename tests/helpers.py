@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import numpy as np
 
+import partialreg
+import partialreg.ols
+import partialreg.stats
 from partialreg import Dataset, column_stats, covariance
 from partialreg.ols import _LEAF_ROWS, _TILE_ROWS
 
@@ -135,14 +141,20 @@ def sign_change_count(values: np.ndarray, *, zero_floor: float) -> int:
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
+def patch_library(monkeypatch, name: str, replacement) -> None:
+    """Bind ``replacement`` to ``name`` in every partialreg module that
+    binds it.  The modules import each other with ``from .x import f``, so
+    patching the defining module alone would miss most call sites."""
+    modules = [partialreg, *(
+        importlib.import_module(f"partialreg.{info.name}")
+        for info in pkgutil.iter_modules(partialreg.__path__))]
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
+
+
 def spy_moment_calls(monkeypatch) -> list[list[str]]:
     """Record the column list of every moment call the library makes."""
-    import partialreg.cli
-    import partialreg.gamma
-    import partialreg.identities
-    import partialreg.ols
-    import partialreg.stats
-
     calls: list[list[str]] = []
     moments = partialreg.stats._central_moments
 
@@ -150,7 +162,18 @@ def spy_moment_calls(monkeypatch) -> list[list[str]]:
         calls.append(list(names))
         return moments(ds, names)
 
-    for module in (partialreg.stats, partialreg.ols, partialreg.identities,
-                   partialreg.gamma, partialreg.cli):
-        monkeypatch.setattr(module, "_central_moments", recording)
+    patch_library(monkeypatch, "_central_moments", recording)
     return calls
+
+
+def spy_passes(monkeypatch) -> list[tuple[list[str], Dataset]]:
+    """Record ``(names, ds)`` of every tiled pass over the rows."""
+    passes: list[tuple[list[str], Dataset]] = []
+    factor = partialreg.ols._factor
+
+    def recording(ds, names):
+        passes.append((list(names), ds))
+        return factor(ds, names)
+
+    patch_library(monkeypatch, "_factor", recording)
+    return passes

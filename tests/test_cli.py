@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 import partialreg.cli
-import partialreg.identities
-import partialreg.ols
-import partialreg.transform
 from helpers import (
     overshooting_sweep_dataset,
     random_dataset,
     rescaled_x1_dataset,
     spy_moment_calls,
+    spy_passes,
 )
 from partialreg import (
     Dataset,
@@ -30,6 +28,7 @@ from partialreg import (
     slope_on_gamma,
 )
 from partialreg.cli import EXIT_FAILED_VERIFICATION, EXIT_OK, EXIT_USAGE, main
+from partialreg.transform import _family
 
 
 @pytest.fixture()
@@ -464,30 +463,23 @@ class TestReportCommand:
     @pytest.mark.parametrize("controls", ["X2", "X2,X3"])
     def test_makes_the_passes_verify_makes(self, monkeypatch, capsys,
                                            d1_extended_csv, controls):
-        designs = []
-        factor = partialreg.ols._factor
-
-        def counting_factor(ds, names):
-            designs.append(list(names))
-            return factor(ds, names)
-
-        monkeypatch.setattr(partialreg.ols, "_factor", counting_factor)
-        monkeypatch.setattr(partialreg.transform, "_factor", counting_factor)
-        monkeypatch.setattr(partialreg.identities, "_factor",
-                            counting_factor)
+        passes = spy_passes(monkeypatch)
         argv = ["--input", d1_extended_csv, "--response", "Y", "--x1", "X1",
                 "--controls", controls]
         assert main(["verify", *argv]) == EXIT_OK
-        verify_designs, designs[:] = designs[:], []
+        verify_designs = [names for names, _ in passes]
+        passes.clear()
         assert main(["report", *argv]) == EXIT_OK
         capsys.readouterr()
         union = ["X1", *controls.split(","), "Y"]
         assert verify_designs == [union]
-        assert designs == verify_designs
+        assert [names for names, _ in passes] == verify_designs
 
     @pytest.mark.parametrize("controls", ["X2", "X2,X3"])
-    def test_simple_fits_and_roots_share_one_moment_call(
+    def test_simple_fits_take_one_moment_call(
             self, monkeypatch, capsys, d1_extended_csv, controls):
+        # The roots read the suite's x1* moments; only the simple fits,
+        # whose intercepts need the raw means, take a call of their own.
         calls = spy_moment_calls(monkeypatch)
         argv = ["--input", d1_extended_csv, "--response", "Y", "--x1", "X1",
                 "--controls", controls]
@@ -495,7 +487,30 @@ class TestReportCommand:
         verify_calls, calls[:] = calls[:], []
         assert main(["report", *argv]) == EXIT_OK
         capsys.readouterr()
-        assert calls == [*verify_calls, ["Y", "X1", *controls.split(",")]]
+        names = controls.split(",")
+        assert verify_calls == [["Y", "X1*", *names]]
+        assert calls == [*verify_calls, ["Y", "X1", *names]]
+
+    def test_roots_read_the_suites_family(self, monkeypatch, capsys,
+                                          d1_extended_csv):
+        # The roots take var(x1) from the suite's x1* moments, not from the
+        # simple fits' raw ones, so they are gamma_roots by construction.
+        seen, roots = [], partialreg.cli._roots
+
+        def recording(*args):
+            seen.append(args)
+            return roots(*args)
+
+        monkeypatch.setattr(partialreg.cli, "_roots", recording)
+        assert main(["report", "--input", d1_extended_csv, "--response", "Y",
+                     "--x1", "X1", "--controls", "X2"]) == EXIT_OK
+        capsys.readouterr()
+        full, residual, _, cross = _family(load_csv(d1_extended_csv), "Y",
+                                           "X1", ["X2"])
+        ((got_full, got_residual, got_cross),) = seen
+        assert got_full == full and got_cross == cross
+        assert got_residual.control_coefficients \
+            == residual.control_coefficients
 
     @pytest.mark.parametrize("argv, data", [
         (["--x1", "X1", "--controls", "P"], "columns"),
@@ -597,6 +612,38 @@ class TestReportCommand:
         text = capsys.readouterr().out
         assert "residualized predictor X1** = X1 -" in text
         assert "overall: pass" in text
+
+
+class TestPassBudget:
+    """Tiled QR passes over the rows and moment calls per command."""
+
+    @pytest.mark.parametrize("argv, passes, moment_calls", [
+        (["fit", "--response", "Y", "--predictors", "X1,X2"], 1, 0),
+        (["residualize", "--target", "X1", "--controls", "X2"], 1, 0),
+        (["sweep", "--response", "Y", "--x1", "X1", "--x2", "X2",
+          "--gamma-min", "-1", "--gamma-max", "1", "--gamma-step", "0.5"],
+         1, 1),
+        (["surface", "--response", "Y", "--x1", "X1", "--x2", "X2",
+          "--x3", "X3", "--gamma2-range", "0:1:0.5",
+          "--gamma3-range", "0:1:0.5"], 1, 1),
+        (["verify", "--response", "Y", "--x1", "X1", "--controls", "X2"],
+         1, 1),
+        (["verify", "--response", "Y", "--x1", "X1", "--controls", "X2,X3"],
+         1, 1),
+        (["report", "--response", "Y", "--x1", "X1", "--controls", "X2"],
+         1, 2),
+        (["report", "--response", "Y", "--x1", "X1", "--controls", "X2,X3"],
+         1, 2),
+    ], ids=["fit", "residualize", "sweep", "surface", "verify_one_control",
+            "verify_two_controls", "report_one_control",
+            "report_two_controls"])
+    def test_counts(self, monkeypatch, capsys, d1_extended_csv, argv,
+                    passes, moment_calls):
+        factored = spy_passes(monkeypatch)
+        moments = spy_moment_calls(monkeypatch)
+        assert main([*argv, "--input", d1_extended_csv]) == EXIT_OK
+        capsys.readouterr()
+        assert (len(factored), len(moments)) == (passes, moment_calls)
 
 
 class TestErrorHandling:

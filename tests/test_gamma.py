@@ -13,11 +13,10 @@ from helpers import (
     random_dataset,
     sign_change_count,
     spy_moment_calls,
+    spy_passes,
     x1_near_x2_dataset,
 )
 import partialreg.gamma
-import partialreg.ols
-import partialreg.transform
 from partialreg import (
     Dataset,
     DegenerateDirection,
@@ -146,9 +145,14 @@ class TestSlopeOnGamma:
         got = slope_on_gamma(d1, "Y", "X1", "X2", 0.5)
         assert got == pytest.approx(float(Fraction(42, 17)), rel=1e-13)
 
-    def test_gamma_zero_is_bitwise_simple_slope(self, d1):
-        assert slope_on_gamma(d1, "Y", "X1", "X2", 0.0) == \
-            fit_simple(d1, "Y", "X1").slopes[0]
+    def test_gamma_zero_is_the_simple_slope(self, d1):
+        # At gamma = 0 the evaluator expands x1 as x1* + c12 x2, not x1's
+        # own moments, so it is held to 10 u kappa, not to fit_simple's bits.
+        want = oracle.simple_slope(d1.column("Y").tolist(),
+                                   d1.column("X1").tolist())
+        kappa = fit(d1, "Y", ["X1", "X2"]).condition_estimate
+        got = slope_on_gamma(d1, "Y", "X1", "X2", 0.0)
+        assert abs(got - want) <= 10 * U * kappa * abs(want)
 
     def test_equals_multiple_slope_at_both_roots(self, d1):
         b1 = fit(d1, "Y", ["X1", "X2"]).slopes[0]
@@ -524,20 +528,12 @@ class TestGammaSurface:
             assert abs(value - swept) <= 10 * U * kappa * abs(swept)
 
     def test_reads_the_rows_once(self, monkeypatch, d1_extended):
-        passes = []
-        factor = partialreg.ols._factor
-
-        def counting_factor(ds, names):
-            passes.append(list(names))
-            return factor(ds, names)
-
-        monkeypatch.setattr(partialreg.ols, "_factor", counting_factor)
-        monkeypatch.setattr(partialreg.transform, "_factor", counting_factor)
+        passes = spy_passes(monkeypatch)
         gamma_surface(d1_extended, "Y", "X1", ["X2", "X3"], [0.0], [0.0])
-        assert passes == [["X1", "X2", "X3", "Y"]]
+        assert [names for names, _ in passes] == [["X1", "X2", "X3", "Y"]]
         passes.clear()
         gamma_sweep(d1_extended, "Y", "X1", "X2", [0.0, 1.0])
-        assert passes == [["X1", "X2", "Y"]]
+        assert [names for names, _ in passes] == [["X1", "X2", "Y"]]
 
     def test_root_check_is_the_residualized_slope_claim(self, d1_extended):
         # One construction of x1*: at the surface root, the surface's own

@@ -1,7 +1,9 @@
 """The slope identities and the verification suite built on them."""
 
 import dataclasses
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +11,17 @@ import pytest
 import oracle
 import partialreg.identities
 import partialreg.ols
+import partialreg.stats
 import partialreg.transform
 from helpers import (
     TILE_EDGES,
+    patch_library,
     predictor_names,
     random_dataset,
     random_integer_dataset,
     rescaled_x1_dataset,
     spy_moment_calls,
+    spy_passes,
 )
 from partialreg import (
     CollinearPredictors,
@@ -43,6 +48,10 @@ from partialreg import (
 )
 from partialreg.identities import _predictor_correlations, _residualized_r
 from partialreg.ols import _LEAF_ROWS, _TILE_ROWS, _factor, _solve
+
+#: Unit roundoff: a value with no promised bits is held to 10 u kappa of
+#: its exact value, kappa being ``fit``'s ``condition_estimate``.
+U = 2.0 ** -53
 
 SUITE_CLAIMS_ONE_CONTROL = [
     "residualized_slope_one_control",
@@ -337,42 +346,22 @@ class TestRunVerificationSuite:
         assert (exc.value.row, exc.value.column) == (3, 2)
         assert str(exc.value) == "while checking c: bad"
 
-    @staticmethod
-    def spy_passes(monkeypatch, passes):
-        """Record ``(names, ds)`` of every tiled pass over the rows."""
-        factor = partialreg.ols._factor
-
-        def counting_factor(ds, names):
-            passes.append((list(names), ds))
-            return factor(ds, names)
-
-        monkeypatch.setattr(partialreg.ols, "_factor", counting_factor)
-        monkeypatch.setattr(partialreg.transform, "_factor", counting_factor)
-        monkeypatch.setattr(partialreg.identities, "_factor",
-                            counting_factor)
-
-    @pytest.mark.parametrize("controls, moment_calls", [
-        (["X2"], 2), (["X2", "X3"], 1),
-    ], ids=["one_control", "two_controls"])
+    @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
+                             ids=["one_control", "two_controls"])
     def test_one_row_pass_per_suite_call(self, monkeypatch, d1_extended,
-                                         controls, moment_calls):
+                                         controls):
         # x1*'s R comes from the first pass's R by the transform law, so
-        # the rows are factored once; x1* is still built once, as data.
-        passes, moments, merges = [], [], []
-        central_moments = partialreg.identities._central_moments
+        # the rows are factored once; x1* is still built once, as data,
+        # and x1's moments follow from x1*'s, so one moment call serves.
+        merges = []
         merged_into = ResidualizedVariable.merged_into
-
-        def counting_moments(ds, names):
-            moments.append(list(names))
-            return central_moments(ds, names)
 
         def counting_merge(residual, ds):
             merges.append(residual.name)
             return merged_into(residual, ds)
 
-        self.spy_passes(monkeypatch, passes)
-        monkeypatch.setattr(partialreg.identities, "_central_moments",
-                            counting_moments)
+        passes = spy_passes(monkeypatch)
+        moments = spy_moment_calls(monkeypatch)
         monkeypatch.setattr(ResidualizedVariable, "merged_into",
                             counting_merge)
         for calls in (1, 2):
@@ -381,7 +370,7 @@ class TestRunVerificationSuite:
                 == [["X1", *controls, "Y"]] * calls
             assert all(ds.column("X1") is d1_extended.column("X1")
                        for _, ds in passes)
-            assert len(moments) == moment_calls * calls
+            assert len(moments) == calls
             assert merges == ["X1*"] * calls
 
     def test_moment_route_reads_the_residual_array_itself(
@@ -399,21 +388,19 @@ class TestRunVerificationSuite:
             return central_moments(ds, names)
 
         residualize_with = partialreg.transform.residualize_with
-        central_moments = partialreg.identities._central_moments
+        central_moments = partialreg.stats._central_moments
         monkeypatch.setattr(partialreg.transform, "residualize_with",
                             spy_residualize_with)
-        monkeypatch.setattr(partialreg.identities, "_central_moments",
-                            recording_moments)
+        patch_library(monkeypatch, "_central_moments", recording_moments)
         run_verification_suite(d1_extended, "Y", "X1", ["X2", "X3"])
         (residual,) = residuals
         ((names, ds),) = moments
-        assert names == ["X1*", "X2", "X3", "Y"]
-        assert ds.column(names[0]) is residual.values
+        assert names == ["Y", "X1*", "X2", "X3"]
+        assert ds.column(names[1]) is residual.values
 
     def test_verify_residualized_slope_reads_the_rows_once(
             self, monkeypatch, d1_extended):
-        passes = []
-        self.spy_passes(monkeypatch, passes)
+        passes = spy_passes(monkeypatch)
         verify_residualized_slope(d1_extended, "Y", "X1", ["X2", "X3"])
         assert [names for names, _ in passes] == [["X1", "X2", "X3", "Y"]]
 
@@ -432,9 +419,7 @@ class TestRunVerificationSuite:
                             k=3)
         assert all(r.passed for r in run_verification_suite(
             ds, "Y", "X1", controls))
-        monkeypatch.setattr(partialreg.ols, "_factor", short_pass)
-        monkeypatch.setattr(partialreg.transform, "_factor", short_pass)
-        monkeypatch.setattr(partialreg.identities, "_factor", short_pass)
+        patch_library(monkeypatch, "_factor", short_pass)
         first = run_verification_suite(ds, "Y", "X1", controls)[0]
         assert first.claim.startswith("residualized_slope_")
         assert not first.passed
@@ -485,7 +470,7 @@ class TestRunVerificationSuite:
             assert aggregation.claim == "aggregation_recovers_subset_slopes"
             assert aggregation.lhs == aggregate_coefficients(
                 full.slopes, matrix)
-            # The moment claims read one call over [X1*, *controls, Y]; a
+            # The moment claims read one call over [Y, X1*, *controls]; a
             # subset's moments are the superset's bits.
             augmented = residualize_with(
                 ds, "X1", controls, aux.slopes, "X1*").merged_into(ds)
@@ -497,23 +482,23 @@ class TestRunVerificationSuite:
 class TestMomentPasses:
     """One moment call per column set, and which sets those are."""
 
-    @pytest.mark.parametrize("controls, column_sets", [
-        (["X2"], [["X1", "X2", "Y"], ["X1*", "X2", "Y"]]),
-        (["X2", "X3"], [["X1*", "X2", "X3", "Y"]]),
-    ], ids=["one_control", "two_controls"])
-    def test_suite(self, monkeypatch, d1_extended, controls, column_sets):
+    @pytest.mark.parametrize("controls", [["X2"], ["X2", "X3"]],
+                             ids=["one_control", "two_controls"])
+    def test_suite(self, monkeypatch, d1_extended, controls):
         calls = spy_moment_calls(monkeypatch)
         run_verification_suite(d1_extended, "Y", "X1", controls)
-        assert calls == column_sets
+        assert calls == [["Y", "X1*", *controls]]
 
     def test_verify_residualized_slope(self, monkeypatch, d1_extended):
         calls = spy_moment_calls(monkeypatch)
         verify_residualized_slope(d1_extended, "Y", "X1", ["X2", "X3"])
-        assert calls == [["X1*", "Y"]]
+        assert calls == [["Y", "X1*", "X2", "X3"]]
 
     def test_constant_response_with_one_control(self):
         # The gate shares its moment call with the response but looks only
-        # at the predictors, so a constant response is no gate error.
+        # at the predictors, so a constant response is no gate error.  The
+        # relations hold within 10 u kappa of the exact values, kappa being
+        # fit's condition estimate: no contract promises their bits.
         rng = np.random.default_rng(43)
         for n in (6, 40):
             ds = random_dataset(rng, n=n, k=2)
@@ -523,14 +508,17 @@ class TestMomentPasses:
             assert all(r.passed for r in reports)
             assert reports[0] == verify_residualized_slope(
                 ds, "Y", "X1", ["X2"])
-            a1, a2, c12, c21 = (fit_simple(ds, y, x).slopes[0] for y, x in (
-                ("Y", "X1"), ("Y", "X2"), ("X1", "X2"), ("X2", "X1")))
-            b1, b2 = fit(ds, "Y", ["X1", "X2"]).slopes
-            r = pearson_r(ds, "X1", "X2")
+            x1, x2 = ds.column("X1").tolist(), ds.column("X2").tolist()
+            # A constant response has a1 = a2 = b1 = b2 = 0 exactly, and
+            # r**2 = c12*c21.
+            exact = (0, 0, oracle.simple_slope(x1, x2)
+                     * oracle.simple_slope(x2, x1))
+            bound = 10 * U * fit(ds, "Y", ["X1", "X2"]).condition_estimate
             relations = reports[3]
             assert relations.claim == "two_predictor_slope_relations"
-            assert relations.lhs == (b1 * c12, b2 * c21, c12 * c21)
-            assert relations.rhs == (a2 - b2, a1 - b1, r * r)
+            for side in (relations.lhs, relations.rhs):
+                for got, want in zip(side, exact, strict=True):
+                    assert abs(got - want) <= bound * max(1, abs(want))
 
 
 class TestGateReadsTheFirstPass:
@@ -603,7 +591,7 @@ def suite_faults() -> dict:
     """Fault -> ``[(owner, attribute, faulty stand-in)]``, patched at the
     names the suite calls through; each stand-in wraps the real code."""
     identities, transform = partialreg.identities, partialreg.transform
-    factor, moments = identities._factor, identities._central_moments
+    factor, moments = identities._factor, transform._central_moments
     combination, solve = transform._combination, partialreg.ols._solve
     inverse_gamma = PredictorTransform.inverse_gamma
     build_transform = identities.build_transform
@@ -640,7 +628,7 @@ def suite_faults() -> dict:
         "b: _factor scales R's y column by 1.01": [
             (identities, "_factor", y_column_scaled)],
         "c: _central_moments drops the last partial tile": [(
-            identities, "_central_moments",
+            transform, "_central_moments",
             lambda ds, names: moments(without_last_tile(ds, names), names))],
         "d: _combination adds 0.3 to x1*'s first 100 rows": [
             (transform, "_combination", x1_star_shifted)],
@@ -656,8 +644,8 @@ def suite_faults() -> dict:
 
 def failed_by_fault() -> dict:
     """Fault letter of suite_faults -> the claims it fails, as measured,
-    with one control and with two; the README lists the same map per
-    claim."""
+    with one control and with two; the README's table lists the same map
+    per claim, and a test holds the two together."""
     one, uncorrelated, mapped, relations, aggregation = \
         SUITE_CLAIMS_ONE_CONTROL
     two, _, zero_slope, _, _ = SUITE_CLAIMS_TWO_CONTROLS
@@ -666,7 +654,7 @@ def failed_by_fault() -> dict:
             "a": {one, uncorrelated, relations},
             "b": {one, relations},
             "c": {one, uncorrelated, relations},
-            "d": {one, uncorrelated},
+            "d": {one, uncorrelated, relations},
             "e": {one, uncorrelated, relations, aggregation},
             "f": {mapped},
             "g": {mapped},
@@ -708,6 +696,29 @@ class TestFaultMatrix:
         assert all(failing.values()), failing
         assert set().union(*failing.values()) == set(claims), failing
         assert failing == failed_by_fault()[request.node.callspec.id]
+
+
+def readme_fault_map() -> dict:
+    """The README's claim x (one control, two controls) fault table, read
+    back in :func:`failed_by_fault`'s form; ``(a)–(e)`` is a range."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    rows = re.findall(r"^\| `([\w*]+)` \|([^|]*)\|([^|]*)\|$", text,
+                      re.MULTILINE)
+    assert rows, "no fault table in README.md"
+    table = {"one_control": {}, "two_controls": {}}
+    for claim, *cells in rows:
+        for (controls, failing), cell in zip(table.items(), cells):
+            for first, last in re.findall(r"\(([a-z])\)(?:–\(([a-z])\))?",
+                                          cell):
+                for code in range(ord(first), ord(last or first) + 1):
+                    failing.setdefault(chr(code), set()).add(
+                        claim.replace("*", controls))
+    return table
+
+
+def test_readme_fault_table_is_the_pinned_matrix():
+    assert readme_fault_map() == failed_by_fault()
 
 
 class TestDerivedR:
