@@ -153,15 +153,17 @@ def slope_on_gamma(ds: Dataset, response: str, x1: str, x2: str,
 
     Raises
     ------
+    ValueError
+        If ``gamma`` is not finite, as for a sweep's grid.
     SingularDesign
         Propagated from the fit of ``response`` on ``(x1, x2)``.
     DegenerateDirection
         If ``x1 - gamma * x2`` is constant relative to its scale, which
         no design that fit accepts allows.
     """
+    grid = _checked_grid([gamma])
     _, residual, _, cross = _family(ds, response, x1, [x2])
-    value, = _slopes(cross, residual.control_coefficients,
-                     [[float(gamma)]]).tolist()
+    value, = _slopes(cross, residual.control_coefficients, grid).tolist()
     if math.isnan(value):
         raise DegenerateDirection(
             f"{x1} - {gamma!r}*{x2} is constant relative to its scale")

@@ -42,6 +42,7 @@ enough on near-collinear controls.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -157,8 +158,8 @@ def verify_residualized_slope(ds: Dataset, response: str, x1: str,
     controls = list(controls)
     if not controls:
         raise ValueError("need at least one control")
-    return _residualized_report(*_family(ds, response, x1, controls),
-                                tolerance)
+    return _residualized_report(
+        *_family(ds, response, x1, controls, pairs=[(0, 1)]), tolerance)
 
 
 def aggregate_coefficients(slopes: Sequence[float],
@@ -353,8 +354,12 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
             f"response {response!r} is also x1; the transformed data "
             f"would rewrite it")
 
+    # With one control the slope relations read cov(y, x2); with more, no
+    # claim reads cov(y, x_j), so those products are not computed.
+    pairs = None if len(controls) == 1 else [
+        (0, 1), *itertools.combinations(range(1, len(names) + 1), 2)]
     with _tag_claim(_claim_name(len(controls))):
-        family = _family(ds, response, x1, controls, r_raw)
+        family = _family(ds, response, x1, controls, r_raw, pairs)
         full, residual, _, cross = family
         reports = [_residualized_report(*family, tolerance)]
     union = [residual.name, *controls, response]

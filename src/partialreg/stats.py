@@ -16,15 +16,19 @@ Every moment here, ``fit_simple`` and the gamma closed forms read one routine
 that centers each column once per call.  The moments of a column subset are
 the superset's bits, so a caller needing several statistics takes one call
 over the union and hands the moments to the private from-moments forms
-(``_correlations``, ``_multiple_correlation``).
-That routine raises :class:`~partialreg.errors.SingularDesign` when a mean or
-a cross moment overflows the double range.
+(``_correlations``, ``_multiple_correlation``).  That routine computes every
+variance, and every covariance unless its caller names the pairs it reads:
+the suite with two or more controls skips ``cov(y, x_j)``, and
+``verify_residualized_slope`` computes ``cov(x1*, y)`` alone.  It raises
+:class:`~partialreg.errors.SingularDesign` when a mean or a computed moment
+overflows the double range.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,25 +70,35 @@ class SummaryStats:
     sd: float
 
 
-def _central_moments(ds: Dataset, names: Sequence[str]
-                     ) -> tuple[list[float], list[list[float]]]:
+def _central_moments(ds: Dataset, names: Sequence[str],
+                     pairs: Iterable[tuple[int, int]] | None = None
+                     ) -> tuple[list[float], list[list[float | None]]]:
     """Means and centered cross moments ``cross[i][j] = dev_i . dev_j / n``
-    of the named columns, read in name order and each centered once; every
-    pair is computed once and mirrored, so the diagonal holds the variances.
+    of the named columns, read in name order and each centered once.
+
+    Every variance (the diagonal) is computed; of the covariances, only
+    the pairs ``(i, j)``, ``i < j``, in ``pairs`` are (all of them when
+    ``pairs`` is None), each once and mirrored.  The rest are None, so
+    reading one fails rather than returns a placeholder.  Raises
+    :class:`SingularDesign` when a mean or a computed moment overflows the
+    double range; finite variances bound every covariance (Cauchy-Schwarz),
+    so the gate holds for the pairs skipped too.
     """
-    n, columns = ds.n, [ds.column(name) for name in names]
+    n, columns, m = ds.n, [ds.column(name) for name in names], len(names)
+    if pairs is None:
+        pairs = itertools.combinations(range(m), 2)
+    cross: list[list[float | None]] = [[None] * m for _ in range(m)]
     with np.errstate(over="ignore", invalid="ignore"):
         means = [float(x.mean()) for x in columns]
         devs = [x - mean for x, mean in zip(columns, means)]
-        cross = np.empty((len(devs), len(devs)))
-        for i in range(len(devs)):
-            for j in range(i, len(devs)):
-                cross[i, j] = cross[j, i] = np.dot(devs[i], devs[j]) / n
-    if not (all(map(math.isfinite, means)) and np.all(np.isfinite(cross))):
+        for i, j in [*zip(range(m), range(m)), *pairs]:
+            cross[i][j] = cross[j][i] = float(np.dot(devs[i], devs[j]) / n)
+    if not all(math.isfinite(v) for v in itertools.chain(means, *cross)
+               if v is not None):
         raise SingularDesign(
             f"moments of {list(names)}: a mean or cross moment overflows "
             f"the double range")
-    return means, cross.tolist()
+    return means, cross
 
 
 def column_stats(ds: Dataset, name: str) -> SummaryStats:

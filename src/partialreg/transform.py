@@ -16,15 +16,18 @@ round trip is what :func:`map_coefficients` is for.
 One routine builds every combined column, residualized, transformed or fed
 to ``gamma.combined_slope``, so equal weights give equal bits on every route.
 ``_family`` owns x1*, the paper's new variable: b1, x1's slopes c and x1*
-from one R, and the moments of ``[y, x1*, *controls]`` from one call;
-``_x1_moments`` reads x1's moments off those by the transform law.
+from one R, and the moments of ``[y, x1*, *controls]`` from one call that
+computes every variance and only the covariances its caller reads;
+``_x1_moments`` reads x1's moments off those by the transform law.  x1* is
+built in ``k + 2`` passes over the rows for ``k`` controls and is not
+scanned for non-finite values: the overflow flags of its build stand in.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,16 +62,23 @@ def _combination(ds: Dataset, names: Sequence[str],
     """``sum_i weights[i] * column(names[i])`` over the nonzero weights, in
     order, as a new frozen array; ``1.0*x + (-c)*y`` rounds as ``x - c*y``.
 
-    Raises :class:`SingularDesign` if a product or partial sum overflows
-    the double range.  With finite columns and weights that is the only way
-    to a non-finite value, and the floating-point flags tell it without a
-    scan of the column.
+    A unit first weight is folded into the first add: ``1.0*x`` is ``x``
+    exactly and addition commutes, so ``x + (-c*y)`` is the same bits with
+    one pass over the rows fewer.  Raises :class:`SingularDesign` if a
+    product or partial sum overflows the double range.  With finite
+    columns and weights that is the only way to a non-finite value, and
+    the floating-point flags tell it without a scan of the column.
     """
     (w, name), *rest = [(w, name) for name, w in zip(names, weights)
                         if w != 0.0]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            column = w * ds.column(name)
+            if w == 1.0 and rest:
+                (w, first), *rest = rest
+                column = np.multiply(w, ds.column(first))
+                np.add(ds.column(name), column, out=column)
+            else:
+                column = w * ds.column(name)
             term = np.empty_like(column) if rest else None
             for w, name in rest:
                 column += np.multiply(w, ds.column(name), out=term)
@@ -154,7 +164,9 @@ class ResidualizedVariable:
     slope pieces are subtracted; the intercept of the auxiliary regression
     is deliberately left in, so the residualized variable keeps a nonzero
     mean in general; it merges in as column ``name``.  ``values`` is
-    checked and frozen like a :class:`Dataset` column.
+    checked and frozen like a :class:`Dataset` column; those
+    :func:`residualize_with` builds skip the scan for non-finite values,
+    which the overflow flags of their build replace.
     """
 
     name: str
@@ -164,12 +176,25 @@ class ResidualizedVariable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        self._check(scanned=False)
+
+    @classmethod
+    def _combined(cls, *args) -> "ResidualizedVariable":
+        """The variable of the constructor's ``args`` whose values
+        :func:`_combination` built: its overflow flags vouch that they are
+        finite, so they are not scanned again; every other check runs."""
+        variable = object.__new__(cls)
+        variable.__dict__.update(zip((f.name for f in fields(cls)), args))
+        variable._check(scanned=True)
+        return variable
+
+    def _check(self, scanned: bool) -> None:
         if len(self.controls) != len(self.control_coefficients):
             raise LengthMismatch(
                 f"{len(self.controls)} controls but "
                 f"{len(self.control_coefficients)} coefficients")
         object.__setattr__(self, "values",
-                           _freeze(self.values, self.name, None))
+                           _freeze(self.values, self.name, None, scanned))
 
     def merged_into(self, ds: Dataset) -> Dataset:
         """Return ``ds`` with this variable appended as a column: the frozen
@@ -232,15 +257,22 @@ def residualize_with(ds: Dataset, target: str, controls: Sequence[str],
         name = target + "*"
         while name in ds:
             name += "*"
-    # The constructor checks that the two lengths agree.
-    return ResidualizedVariable(name, target, controls, coefficients, values)
+    # _combined checks that the two lengths agree.
+    return ResidualizedVariable._combined(name, target, controls,
+                                          coefficients, values)
 
 
 def _family(ds: Dataset, response: str, x1: str, controls: list[str],
-            r: np.ndarray | None = None):
+            r: np.ndarray | None = None,
+            pairs: Iterable[tuple[int, int]] | None = None):
     """The fit of ``response`` on ``[x1, *controls]``, x1* from x1's slopes
     on the controls solved on the same R (``r``, factored unless given), and
-    the means and centered cross moments of ``[response, x1*, *controls]``."""
+    the means and centered cross moments of ``[response, x1*, *controls]``:
+    every variance, and the covariances ``pairs`` names (all when None),
+    the rest None.  The gamma evaluators and the one-control suite read
+    every covariance; the suite with more controls reads none of
+    ``cov(response, control)``, and ``verify_residualized_slope`` only
+    ``cov(response, x1*)``."""
     union = [x1, *controls, response]
     if r is None:
         r = _factor(ds, union)
@@ -248,7 +280,8 @@ def _family(ds: Dataset, response: str, x1: str, controls: list[str],
     aux = _solve(r, union, 0, range(1, len(controls) + 1))
     residual = residualize_with(ds, x1, controls, aux.slopes)
     means, cross = _central_moments(residual.merged_into(ds),
-                                    [response, residual.name, *controls])
+                                    [response, residual.name, *controls],
+                                    pairs)
     return full, residual, means, cross
 
 

@@ -158,12 +158,28 @@ def spy_moment_calls(monkeypatch) -> list[list[str]]:
     calls: list[list[str]] = []
     moments = partialreg.stats._central_moments
 
-    def recording(ds, names):
+    def recording(ds, names, pairs=None):
         calls.append(list(names))
-        return moments(ds, names)
+        return moments(ds, names, pairs)
 
     patch_library(monkeypatch, "_central_moments", recording)
     return calls
+
+
+def spy_moment_products(monkeypatch) -> list[int]:
+    """Record the products each moment call computes: its variances plus
+    the covariances it was asked for, each pair counted once."""
+    products: list[int] = []
+    moments = partialreg.stats._central_moments
+
+    def recording(ds, names, pairs=None):
+        means, cross = moments(ds, names, pairs)
+        products.append(sum(value is not None for i, row in enumerate(cross)
+                            for value in row[i:]))
+        return means, cross
+
+    patch_library(monkeypatch, "_central_moments", recording)
+    return products
 
 
 def spy_passes(monkeypatch) -> list[tuple[list[str], Dataset]]:

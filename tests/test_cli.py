@@ -12,6 +12,7 @@ from helpers import (
     random_dataset,
     rescaled_x1_dataset,
     spy_moment_calls,
+    spy_moment_products,
     spy_passes,
 )
 from partialreg import (
@@ -26,8 +27,10 @@ from partialreg import (
     round_to_printed,
     save_csv,
     slope_on_gamma,
+    verify_residualized_slope,
 )
 from partialreg.cli import EXIT_FAILED_VERIFICATION, EXIT_OK, EXIT_USAGE, main
+from partialreg.stats import _central_moments
 from partialreg.transform import _family
 
 
@@ -644,6 +647,57 @@ class TestPassBudget:
         assert main([*argv, "--input", d1_extended_csv]) == EXIT_OK
         capsys.readouterr()
         assert (len(factored), len(moments)) == (passes, moment_calls)
+
+
+class TestMomentProducts:
+    """Products per moment call: every variance, and only the covariances
+    the caller reads.  The two-control suite reads no cov(y, x_j), and
+    verify_residualized_slope reads cov(x1*, y) alone."""
+
+    @pytest.mark.parametrize("argv, products", [
+        (["sweep", "--response", "Y", "--x1", "X1", "--x2", "X2",
+          "--gamma-min", "-1", "--gamma-max", "1", "--gamma-step", "0.5"],
+         [6]),
+        (["surface", "--response", "Y", "--x1", "X1", "--x2", "X2",
+          "--x3", "X3", "--gamma2-range", "0:1:0.5",
+          "--gamma3-range", "0:1:0.5"], [10]),
+        (["verify", "--response", "Y", "--x1", "X1", "--controls", "X2"],
+         [6]),
+        (["verify", "--response", "Y", "--x1", "X1", "--controls", "X2,X3"],
+         [8]),
+        (["report", "--response", "Y", "--x1", "X1", "--controls", "X2"],
+         [6, 6]),
+        (["report", "--response", "Y", "--x1", "X1", "--controls", "X2,X3"],
+         [8, 10]),
+    ], ids=["sweep", "surface", "verify_one_control", "verify_two_controls",
+            "report_one_control", "report_two_controls"])
+    def test_commands(self, monkeypatch, capsys, d1_extended_csv, argv,
+                      products):
+        computed = spy_moment_products(monkeypatch)
+        assert main([*argv, "--input", d1_extended_csv]) == EXIT_OK
+        capsys.readouterr()
+        assert computed == products
+
+    @pytest.mark.parametrize("controls, products",
+                             [(["X2"], [4]), (["X2", "X3"], [5])],
+                             ids=["one_control", "two_controls"])
+    def test_verify_residualized_slope(self, monkeypatch, d1_extended,
+                                       controls, products):
+        computed = spy_moment_products(monkeypatch)
+        verify_residualized_slope(d1_extended, "Y", "X1", controls)
+        assert computed == products
+
+    def test_a_product_not_asked_for_is_none(self, d1_extended):
+        names = ["Y", "X1", "X2", "X3"]
+        full = _central_moments(d1_extended, names)
+        means, cross = _central_moments(d1_extended, names, [(0, 1)])
+        assert means == full[0]
+        for i in range(4):
+            for j in range(4):
+                asked = i == j or {i, j} == {0, 1}
+                assert cross[i][j] == (full[1][i][j] if asked else None)
+        with pytest.raises(TypeError):
+            cross[0][2] / cross[2][2]
 
 
 class TestErrorHandling:

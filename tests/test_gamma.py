@@ -211,6 +211,19 @@ class TestOverflowingGammas:
         with pytest.raises(SingularDesign, match="overflows the double"):
             evaluate(unit_data, 1e200)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("evaluate", [
+        lambda ds, g: slope_on_gamma(ds, "Y", "X1", "X2", g),
+        lambda ds, g: gamma_sweep(ds, "Y", "X1", "X2", [g]),
+    ], ids=["scalar", "sweep"])
+    def test_non_finite_gamma_is_rejected_as_input(self, unit_data, evaluate,
+                                                   gamma):
+        # Not an overflow of the data: a bad argument, one error for both.
+        with pytest.raises(ValueError, match="non-finite") as caught:
+            evaluate(unit_data, gamma)
+        assert type(caught.value) is ValueError
+
     def test_constant_control_at_an_overflowing_gamma(self, unit_data):
         # X1 - 2**996 * X2 is exactly -2**996, so its moments are finite;
         # gamma**2 * var(X2) is inf * 0, no number to set a floor by.

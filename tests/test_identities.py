@@ -383,9 +383,9 @@ class TestRunVerificationSuite:
             residuals.append(residualize_with(*args))
             return residuals[-1]
 
-        def recording_moments(ds, names):
+        def recording_moments(ds, names, pairs=None):
             moments.append((list(names), ds))
-            return central_moments(ds, names)
+            return central_moments(ds, names, pairs)
 
         residualize_with = partialreg.transform.residualize_with
         central_moments = partialreg.stats._central_moments
@@ -586,6 +586,17 @@ class TestGateReadsTheFirstPass:
                            match="overflows the double range"):
             run_verification_suite(ds, "Y", "X1", controls)
 
+    def test_response_variance_overflow_is_a_singular_design(self):
+        # R is finite here and only var(y) overflows; the suite reads no
+        # cov(y, x_j) with two controls but still computes var(y), whose
+        # gate is what rejects these data.
+        x1, x2, x3, noise = np.random.default_rng(1).normal(size=(4, 200))
+        ds = Dataset({"X1": x1, "X2": x2, "X3": x3,
+                      "Y": 1e153 * (x1 + 0.5 * x2) + 1e150 * noise})
+        with pytest.raises(SingularDesign, match=r"moments of \['Y', 'X1\*'"
+                           r".*overflows the double range"):
+            run_verification_suite(ds, "Y", "X1", ["X2", "X3"])
+
 
 def suite_faults() -> dict:
     """Fault -> ``[(owner, attribute, faulty stand-in)]``, patched at the
@@ -629,7 +640,8 @@ def suite_faults() -> dict:
             (identities, "_factor", y_column_scaled)],
         "c: _central_moments drops the last partial tile": [(
             transform, "_central_moments",
-            lambda ds, names: moments(without_last_tile(ds, names), names))],
+            lambda ds, names, pairs=None: moments(
+                without_last_tile(ds, names), names, pairs))],
         "d: _combination adds 0.3 to x1*'s first 100 rows": [
             (transform, "_combination", x1_star_shifted)],
         "e: _solve scales its slopes by 1 + 1e-6": [
