@@ -27,7 +27,8 @@ roots, and any grid points skipped as degenerate.
 
 Exit codes: 0 success, 1 failed verification, 2 usage or input error.  A
 bad grid range or tolerance is a usage error, found by the library's own
-check before the input is read; an oversized grid gets the JSON envelope.
+check before the input is read; an oversized grid, a surface's product of
+axes included, gets the JSON envelope, also before the input is read.
 """
 
 from __future__ import annotations
@@ -39,16 +40,24 @@ from collections.abc import Sequence
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import Dataset
 from .errors import GridTooLarge, ParseError, PartialRegError, ZeroLeadSlope
-from .gamma import _roots, gamma_surface, gamma_sweep, grid_points
+from .gamma import (
+    _checked_grid,
+    _roots,
+    gamma_surface,
+    gamma_sweep,
+    grid_points,
+)
 from .identities import (
     DEFAULT_TOLERANCE,
     _checked_tolerance,
     _suite,
     run_verification_suite,
 )
-from .io import format_number, load_csv, round_to_printed, to_csv
+from .io import _table, format_number, load_csv, round_to_printed, to_csv
 from .ols import _simple_from_moments, fit
 from .stats import _central_moments
 from .transform import residualize
@@ -184,6 +193,8 @@ def _inputs_dict(args: argparse.Namespace) -> dict:
 
 
 def _csv_lines(header: str, rows: list[list]) -> str:
+    """A few-row table whose cells may be text (``fit``, ``verify``); grid
+    tables go through the block printer, ``io._table``."""
     lines = [header]
     for row in rows:
         lines.append(",".join(
@@ -227,9 +238,10 @@ def _grid_payload(args: argparse.Namespace, sweep):
         "undefined_points": [_flat(p) for p in sweep.undefined_points],
     }
     if args.output_format == "csv":
-        header = ",".join((*sweep.axis_names, "a1_star"))
-        rows = [[*point, v] for point, v in zip(sweep.points, sweep.values)]
-        return _csv_lines(header, rows), EXIT_OK, meta
+        points = np.array(sweep.points).reshape(-1, len(sweep.axis_names))
+        text = _table((*sweep.axis_names, "a1_star"),
+                      [*points.T, np.array(sweep.values)])
+        return text, EXIT_OK, meta
     results = {
         "axis_names": sweep.axis_names,
         "gammas" if len(sweep.axis_names) == 1 else "points":
@@ -336,7 +348,8 @@ _COMMANDS = {
 
 
 def _grids(args: argparse.Namespace) -> list:
-    """The command's gamma grids, each checked by :func:`grid_points`."""
+    """The command's gamma grids, each checked by :func:`grid_points` and
+    their product by the evaluators' own size check."""
     if args.command == "sweep":
         ranges = {"gamma": (args.gamma_min, args.gamma_max, args.gamma_step)}
     elif args.command == "surface":
@@ -351,7 +364,7 @@ def _grids(args: argparse.Namespace) -> list:
             if not isinstance(exc, GridTooLarge):  # that one gets the envelope
                 exc.args = (f"bad {what} range {lo}:{hi}:{step}: {exc}",)
             raise
-    return grids
+    return _checked_grid(*grids)
 
 
 def _envelope(args: argparse.Namespace, inputs: dict, results,

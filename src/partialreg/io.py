@@ -17,17 +17,18 @@ routes.
 Numbers are emitted with 12 significant digits, byte for byte what
 ``%.12g`` prints.  That printing is a fixpoint: loading an emitted file
 and emitting it again reproduces the bytes, so emitted CSVs round-trip
-exactly.  :func:`to_csv` prints a block of rows in numpy.  A cell whose
-decimal exponent is -4..11 (the ones ``%g`` prints without an exponent)
-gets its 12-digit mantissa ``D = rint(y)`` from ``y = fl(|x| * 10**k)``,
-one correctly rounded product by an exact power of ten, 0 <= k <= 15
-(Clinger's fast path).  Below 2**40 every half-integer is a double and
-rounding is monotone, so unless ``y`` is itself a half-integer, the exact
-``|x| * 10**k`` lies on the same side of every half-integer as ``y`` and
-rounds to the same ``D``.  Every other cell (zero, subnormal, exponent
-notation, a possible tie) is printed by Python's own ``%``, one call per
-block over those cells only, as Grisu3 hands the cases it cannot prove
-to an exact printer.
+exactly.  :func:`to_csv`, like the CLI's sweep and surface tables, prints
+blocks of rows in numpy.  A cell whose decimal exponent is -4..11 (the
+ones ``%g`` prints without an exponent) gets its 12-digit mantissa
+``D = rint(y)`` from ``y = fl(|x| * 10**k)``, one correctly rounded
+product by an exact power of ten, 0 <= k <= 15 (Clinger's fast path).
+Below 2**40 every half-integer is a double and rounding is monotone, so
+unless ``y`` is itself a half-integer, the exact ``|x| * 10**k`` lies on
+the same side of every half-integer as ``y`` and rounds to the same
+``D``.  Every other cell (zero, subnormal, exponent notation, a possible
+tie) is printed by Python's own ``%``, one call per block over those
+cells only, as Grisu3 hands the cases it cannot prove to an exact
+printer.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import csv
 import functools
 import math
 import os
+from collections.abc import Sequence
 from io import BytesIO, StringIO, TextIOWrapper
 
 import numpy as np
@@ -248,11 +250,17 @@ def to_csv(ds: Dataset) -> str:
         if name != name.strip():
             raise IoError(f"column name {name!r} starts or ends with "
                           f"whitespace, which a CSV header cannot keep")
-    columns = [ds.column(name) for name in ds.names]
+    return _table(ds.names, [ds.column(name) for name in ds.names])
+
+
+def _table(names: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+    """A header of ``names`` over the rows of the equally long float
+    ``columns``, printed ``_WRITE_BLOCK_ROWS`` rows at a time; zero rows
+    give the header alone."""
     header = StringIO()  # "\r\n" makes it quote names holding \r or \n
-    csv.writer(header, lineterminator="\r\n").writerow(ds.names)
+    csv.writer(header, lineterminator="\r\n").writerow(names)
     parts = [header.getvalue()[:-2] + "\n"]
-    for start in range(0, ds.n, _WRITE_BLOCK_ROWS):
+    for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
         parts.append(_print_block(np.column_stack(
             [col[start:start + _WRITE_BLOCK_ROWS] for col in columns])))
     return "".join(parts)

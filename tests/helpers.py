@@ -56,6 +56,21 @@ def overshooting_sweep_dataset() -> Dataset:
     return x1_near_x2_dataset(1e-8)
 
 
+def near_collinear_controls_dataset(rng: np.random.Generator,
+                                    n: int) -> Dataset:
+    """X3 = X2 + 1e-7 * e, with e orthogonal to the intercept, X1, X2 and
+    Y: the fits stay well posed and the root (c12, c13) stays modest, but
+    X1 - g*X2 + g*X3 is constant relative to its scale for large g."""
+    x1 = rng.normal(size=n)
+    x2 = 0.5 * x1 + rng.normal(size=n)
+    y = x1 - x2 + rng.normal(size=n)
+    basis = np.column_stack([np.ones(n), x1, x2, y])
+    e = rng.normal(size=n)
+    e -= basis @ np.linalg.lstsq(basis, e, rcond=None)[0]
+    return Dataset({"X1": x1, "X2": x2, "X3": x2 + 1e-7 * e / e.std(),
+                    "Y": y})
+
+
 def random_dataset(rng: np.random.Generator, n: int, k: int, *,
                    condition_limit: float = 1e6) -> Dataset:
     """Random dataset with correlated predictors and a gated condition.

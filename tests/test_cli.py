@@ -2,12 +2,14 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import partialreg.cli
 from helpers import (
+    near_collinear_controls_dataset,
     overshooting_sweep_dataset,
     random_dataset,
     rescaled_x1_dataset,
@@ -22,6 +24,9 @@ from partialreg import (
     fit_simple,
     format_number,
     gamma_roots,
+    gamma_surface,
+    gamma_sweep,
+    grid_points,
     load_csv,
     residualize,
     round_to_printed,
@@ -53,6 +58,11 @@ def proportional_csv(tmp_path):
     path = tmp_path / "prop.csv"
     path.write_text("X1,X2,Y\n1,2,1\n2,4,3\n3,6,2\n4,8,5\n")
     return str(path)
+
+
+SWEEP = ["sweep", "--response", "Y", "--x1", "X1", "--x2", "X2"]
+SURFACE = ["surface", "--response", "Y", "--x1", "X1", "--x2", "X2",
+           "--x3", "X3"]
 
 
 def run_json(capsys, argv):
@@ -336,6 +346,92 @@ class TestSurfaceCommand:
             [round_to_printed(aux.slopes[0]), round_to_printed(aux.slopes[1])]]
         b1 = fit(d1_extended, "Y", ["X1", "X2", "X3"]).slopes[0]
         assert sidecar["results"]["reference_b1"] == round_to_printed(b1)
+
+
+class TestGridCsvBytes:
+    """A grid CSV is the library's table as ``format_number`` prints each
+    cell, joined by ``,``: on stdout, and in an ``--output`` file next to
+    its sidecar."""
+
+    CASES = {
+        "one_point_sweep": ("d1", [*SWEEP, "--gamma-min=0.5",
+                                   "--gamma-max=0.5", "--gamma-step=1"],
+                            [[0.5]]),
+        # The one point is undefined: a header-only table.
+        "undefined_surface": ("near_collinear", [
+            *SURFACE, "--gamma2-range=-1e7:-1e7:1",
+            "--gamma3-range=1e7:1e7:1"], [[-1e7], [1e7]]),
+        # a1* ~ 1/gamma: every value prints in exponent notation.
+        "exponent_tail": ("d1", [*SWEEP, "--gamma-min=1e5",
+                                 "--gamma-max=1e7", "--gamma-step=1e5"],
+                          [grid_points(1e5, 1e7, 1e5)]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes_and_sidecar(self, capsys, tmp_path, d1_extended, case):
+        source, argv, grids = self.CASES[case]
+        path = tmp_path / "in.csv"
+        save_csv(d1_extended if source == "d1" else
+                 near_collinear_controls_dataset(
+                     np.random.default_rng(1205), 30), path)
+        ds = load_csv(path)
+        sweep = (gamma_sweep(ds, "Y", "X1", "X2", *grids) if len(grids) == 1
+                 else gamma_surface(ds, "Y", "X1", ["X2", "X3"], *grids))
+        want = "\n".join([
+            ",".join((*sweep.axis_names, "a1_star")),
+            *(",".join(map(format_number, (*point, value)))
+              for point, value in zip(sweep.points, sweep.values))]) + "\n"
+        if case == "undefined_surface":
+            assert want == "gamma,gamma3,a1_star\n"
+            assert sweep.undefined_points == ((-1e7, 1e7),)
+        if case == "exponent_tail":
+            assert all("e-" in line.split(",")[1]
+                       for line in want.splitlines()[1:])
+
+        assert main([*argv, "--input", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == want
+        out = tmp_path / "grid.csv"
+        assert main([*argv, "--input", str(path),
+                     "--output", str(out)]) == EXIT_OK
+        assert out.read_text() == want
+
+        def printed(point):
+            rounded = [round_to_printed(g) for g in point]
+            return rounded[0] if len(rounded) == 1 else rounded
+
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert meta["results"] == {
+            "reference_b1": round_to_printed(sweep.reference_slope),
+            "roots": [printed(root) for root in sweep.roots],
+            "undefined_points": [printed(p) for p in sweep.undefined_points],
+        }
+
+
+class TestGridMemory:
+    """Peak traced memory of a CSV grid command, per grid point.  numpy
+    reports its buffers to ``tracemalloc``, so the figure does not depend
+    on the host.  The table printed in numpy blocks takes about 240 bytes
+    a point, most of them ``GammaSweep``'s tuples; a Python list per row
+    takes about 360."""
+
+    BYTES_PER_POINT = 300
+
+    def test_csv_sweep(self, tmp_path):
+        path, out = tmp_path / "in.csv", tmp_path / "sweep.csv"
+        save_csv(random_dataset(np.random.default_rng(11), n=1000, k=2), path)
+        args = partialreg.cli.build_parser().parse_args([
+            *SWEEP, "--input", str(path), "--output", str(out),
+            "--gamma-min=-2.5", "--gamma-max=2.5", "--gamma-step=1e-4"])
+        tracemalloc.start()
+        try:
+            code = partialreg.cli.run(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        points = 50_001
+        assert out.read_text().count("\n") == points + 1
+        assert peak < self.BYTES_PER_POINT * points
 
 
 class TestVerifyCommand:
@@ -847,11 +943,6 @@ class TestErrorHandling:
         assert "field larger" in captured.err
 
 
-SWEEP = ["sweep", "--response", "Y", "--x1", "X1", "--x2", "X2"]
-SURFACE = ["surface", "--response", "Y", "--x1", "X1", "--x2", "X2",
-           "--x3", "X3"]
-
-
 OVERFLOWING_CSV = ("X1,X2,X3,Y\n1e308,1e308,1,2\n1e308,-1e308,2,3\n"
                    "3,1,3,4\n4,6,2,1\n")
 
@@ -944,6 +1035,15 @@ class TestArgumentsBeforeData:
         assert code == EXIT_USAGE
         doc = json.loads(captured.out)
         assert doc["results"] is None
+        assert doc["diagnostics"]["error"] == "GridTooLarge"
+
+    def test_oversized_surface_gets_the_envelope_first(self, capsys,
+                                                       tmp_path):
+        # Each axis passes alone; their 1001 x 1001 product does not.
+        code = main([*SURFACE, "--input", str(tmp_path / "absent.csv"),
+                     "--gamma2-range=0:1000:1", "--gamma3-range=0:1000:1"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_USAGE
         assert doc["diagnostics"]["error"] == "GridTooLarge"
 
 

@@ -9,6 +9,7 @@ import oracle
 from helpers import (
     crossing_points,
     gamma_scan_values,
+    near_collinear_controls_dataset,
     overshooting_sweep_dataset,
     random_dataset,
     sign_change_count,
@@ -83,21 +84,6 @@ def near_collinear_root_dataset() -> Dataset:
     x1, x2, noise, y = np.random.default_rng(0).normal(size=(4, 20))
     return Dataset({"X1": x1, "X2": x2, "X3": x2 + 1e-7 * noise,
                     "Y": y + x1})
-
-
-def near_collinear_controls_dataset(rng: np.random.Generator,
-                                    n: int) -> Dataset:
-    # X3 = X2 + 1e-7 * e, with e orthogonal to the intercept, X1, X2 and
-    # Y: the fits stay well posed and the root (c12, c13) stays modest,
-    # but X1 - g*X2 + g*X3 is constant relative to its scale for large g.
-    x1 = rng.normal(size=n)
-    x2 = 0.5 * x1 + rng.normal(size=n)
-    y = x1 - x2 + rng.normal(size=n)
-    basis = np.column_stack([np.ones(n), x1, x2, y])
-    e = rng.normal(size=n)
-    e -= basis @ np.linalg.lstsq(basis, e, rcond=None)[0]
-    return Dataset({"X1": x1, "X2": x2, "X3": x2 + 1e-7 * e / e.std(),
-                    "Y": y})
 
 
 class TestGridPoints:
