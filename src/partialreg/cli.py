@@ -282,8 +282,8 @@ def _cmd_verify(args: argparse.Namespace, ds: Dataset):
 def _cmd_report(args: argparse.Namespace, ds: Dataset):
     response, x1, controls = args.response, args.x1, args.controls
     names = [x1, *controls]
-    reports, (full, residual, _, cross) = _suite(ds, response, x1, controls,
-                                                 args.tolerance)
+    reports, (full, star, weights, _, cross) = _suite(
+        ds, response, x1, controls, args.tolerance)
     lines: list[str] = []
     lines.append(f"dataset {args.input_path}: n={ds.n}, "
                  f"columns {', '.join(ds.names)}")
@@ -300,7 +300,8 @@ def _cmd_report(args: argparse.Namespace, ds: Dataset):
     lines.append("")
 
     lines.append("simple fits")
-    raw = _central_moments(ds, [response, *names])  # x1's own mean, too
+    raw = _central_moments([ds.column(c) for c in (response, *names)],
+                           [response, *names])  # x1's own mean, too
     for i, name in enumerate(names, 1):
         intercept, slope, _ = _simple_from_moments(*raw, 0, i, name)
         lines.append(f"  {response} ~ {name}: intercept "
@@ -310,13 +311,12 @@ def _cmd_report(args: argparse.Namespace, ds: Dataset):
 
     pieces = " - ".join(
         f"{format_number(c)}*{name}"
-        for name, c in zip(residual.controls,
-                           residual.control_coefficients))
-    lines.append(f"residualized predictor {residual.name} = {x1} - {pieces}")
+        for name, c in zip(controls, weights))
+    lines.append(f"residualized predictor {star} = {x1} - {pieces}")
     if len(controls) == 1:
         try:
             shown = ", ".join(map(format_number,
-                                  _roots(full, residual, cross)))
+                                  _roots(full, weights, cross)))
             lines.append(f"gammas where the combined-predictor slope "
                          f"equals the multiple slope: {shown}")
         except ZeroLeadSlope:

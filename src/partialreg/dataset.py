@@ -11,31 +11,36 @@ from .errors import DuplicateColumn, LengthMismatch, TooFewRows, UnknownColumn
 __all__ = ["Dataset"]
 
 
-def _frozen(values) -> np.ndarray:
+def _frozen(values, what: str) -> np.ndarray:
     """``values`` itself if it is a read-only float64 array owning its
     memory, as every array this package freezes is; else a read-only copy.
-    Other iterables are listed first, since numpy reads no generator."""
+    Other iterables are listed first, since numpy reads no generator.  Text
+    and complex values raise ValueError naming ``what``."""
     if (type(values) is np.ndarray and values.dtype == np.float64
             and values.flags.owndata and not values.flags.writeable):
         return values
-    arr = np.array(list(values) if isinstance(values, Iterable)
-                   and not isinstance(values, np.ndarray) else values,
-                   dtype=np.float64)
+    if isinstance(values, (str, bytes, bytearray)):
+        raise ValueError(f"{what} must hold numbers, not text")
+    listed = not isinstance(values, np.ndarray) and isinstance(values, Iterable)
+    arr = np.array(list(values)) if listed else np.asarray(values)
+    if arr.dtype.kind not in "biufO":
+        raise ValueError(f"{what} must hold real numbers, not {arr.dtype}")
+    try:  # an object array may still hold a complex number or text
+        arr = arr.astype(np.float64, copy=not listed)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{what} must hold real numbers: {err}") from None
     arr.setflags(write=False)
     return arr
 
 
-def _freeze(values: Iterable[float], name: str, n: int | None,
-            scanned: bool = False) -> np.ndarray:
-    """``values`` as a checked, frozen column.  ``scanned`` vouches that
-    ``values`` is an array this check has already passed, so the O(n)
-    scan for non-finite values is not repeated."""
+def _freeze(values: Iterable[float], name: str, n: int | None) -> np.ndarray:
+    """``values`` as a checked, frozen column."""
     if not isinstance(name, str) or not name:
         raise ValueError("column names must be non-empty strings")
-    arr = _frozen(values)
+    arr = _frozen(values, f"column {name!r}")
     if arr.ndim != 1:
         raise ValueError(f"column {name!r} must be one-dimensional")
-    if not scanned and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"column {name!r} contains a non-finite value")
     if n is not None and arr.size != n:
         raise LengthMismatch(
@@ -129,16 +134,9 @@ class Dataset:
 
     def with_column(self, name: str, values: Iterable[float]) -> "Dataset":
         """Return a new dataset with ``values`` appended under ``name``."""
-        return self._appended(name, values, scanned=False)
-
-    def _appended(self, name: str, values: Iterable[float],
-                  scanned: bool) -> "Dataset":
-        """:meth:`with_column`; with ``scanned``, ``values`` is a column a
-        ``_freeze`` call has already checked (as a ``ResidualizedVariable``'s
-        values are), so it is not scanned for non-finite values again."""
         if name in self._columns:
             raise DuplicateColumn(f"column {name!r} already exists")
-        return self._derive({name: _freeze(values, name, self._n, scanned)})
+        return self._derive({name: _freeze(values, name, self._n)})
 
     def replace_columns(self, replacements: Mapping[str, Iterable[float]]
                         ) -> "Dataset":

@@ -13,8 +13,8 @@ x1 on the controls and ``d = c - gamma``, ``x1 - gamma.x = x1* + d.x``, so
 ``a1* = (cov(x1*, y) + d.cov(x, y)) / (var(x1*) + 2 d.cov(x1*, x) + d'Sd)``
 with S the controls' covariance, a denominator that does not cancel near
 the root ``d = 0``.  A sweep is a one-control surface: ``transform._family``
-gives b1, c, x1* and the moments of ``[y, x1*, *controls]`` from one pass
-over the rows and one call, so a G x G surface costs O(n + G**2).
+gives b1, c and the moments of ``[y, x1*, *controls]`` from one pass over
+the rows and one call, so a G x G surface costs O(n + G**2).
 :func:`slope_on_gamma` is the evaluator on a one-point grid, bit for bit
 the sweep's value; a surface's ``gamma3 = 0`` line expands in another x1*
 (residualized on both controls) and matches the sweep to rounding.
@@ -38,7 +38,7 @@ from .errors import (
     ZeroLeadSlope,
 )
 from .stats import _central_moments
-from .transform import _family, _x1_moments, residualize_with
+from .transform import _family, _residual, _x1_moments
 
 __all__ = [
     "DENOMINATOR_FLOOR",
@@ -162,8 +162,8 @@ def slope_on_gamma(ds: Dataset, response: str, x1: str, x2: str,
         no design that fit accepts allows.
     """
     grid = _checked_grid([gamma])
-    _, residual, _, cross = _family(ds, response, x1, [x2])
-    value, = _slopes(cross, residual.control_coefficients, grid).tolist()
+    _, _, weights, _, cross = _family(ds, response, x1, [x2])
+    value, = _slopes(cross, weights, grid).tolist()
     if math.isnan(value):
         raise DegenerateDirection(
             f"{x1} - {gamma!r}*{x2} is constant relative to its scale")
@@ -175,9 +175,9 @@ def combined_slope(ds: Dataset, response: str, x1: str,
                    gammas: Sequence[float]) -> float:
     """Slope of ``response`` on ``x1 - sum_j gammas[j] * controls[j]``.
 
-    The data route, read from the moments of the column
-    ``residualize_with`` builds: cross-checking it against the closed form
-    is a test, so they share the moment routine, not the formula.  Its
+    The data route, read from the moments of the column built as
+    ``residualize_with`` builds it: cross-checking it against the closed
+    form is a test, so they share the moment routine, not the formula.  Its
     floor's scale, ``var(x1) + sum_j gammas[j]**2 var(x_j)``, grows with
     the gammas.
     """
@@ -186,16 +186,17 @@ def combined_slope(ds: Dataset, response: str, x1: str,
     if len(controls) != len(gammas):
         raise LengthMismatch(
             f"{len(controls)} controls but {len(gammas)} gammas")
-    moments = _central_moments(ds, [x1, *controls])[1]
-    residual = residualize_with(ds, x1, controls, gammas)
+    moments = _central_moments([ds.column(c) for c in (x1, *controls)],
+                               [x1, *controls])[1]
+    name, _, combined = _residual(ds, x1, controls, gammas)
     scale = moments[0][0]
     for i, g in enumerate(gammas, start=1):
         scale += (g * g) * moments[i][i]
     if not math.isfinite(scale):
-        raise SingularDesign(f"the variance scale of {residual.name!r} "
+        raise SingularDesign(f"the variance scale of {name!r} "
                              f"overflows the double range")
-    cross = _central_moments(residual.merged_into(ds),
-                             [residual.name, response])[1]
+    cross = _central_moments([combined, ds.column(response)],
+                             [name, response])[1]
     if cross[0][0] <= DENOMINATOR_FLOOR * scale:
         raise DegenerateDirection(
             f"{x1} - {gammas}*{controls} is constant "
@@ -219,14 +220,14 @@ def gamma_roots(ds: Dataset, response: str, x1: str, x2: str
         If ``|b1|`` is zero relative to the natural slope scale
         ``sd(response)/sd(x1)``, making ``-b2/b1`` undefined.
     """
-    full, residual, _, cross = _family(ds, response, x1, [x2])
-    return _roots(full, residual, cross)
+    full, _, weights, _, cross = _family(ds, response, x1, [x2])
+    return _roots(full, weights, cross)
 
 
-def _roots(full, residual, cross) -> tuple[float, ...]:
-    """:func:`gamma_roots` from :func:`_family`'s fit, x1* and moments;
-    ``var(x1)`` follows from x1*'s moments by the transform law."""
-    (c12,) = residual.control_coefficients
+def _roots(full, weights, cross) -> tuple[float, ...]:
+    """:func:`gamma_roots` from :func:`_family`'s fit, x1*'s weights and
+    moments; ``var(x1)`` follows from x1*'s moments by the transform law."""
+    (c12,) = weights
     var_x1 = _x1_moments(cross, c12)[1]
     x1, (b1, b2) = full.predictors[0], full.slopes
     slope_scale = max(1.0, math.sqrt(cross[0][0]) / math.sqrt(var_x1))
@@ -287,12 +288,11 @@ def _tabulate(ds: Dataset, response: str, x1: str, controls: list[str],
     """a1* over the row-major product of ``grids``, one per control,
     annotated with the roots once each reproduces b1; points where the
     combined predictor is constant are skipped and recorded."""
-    full, residual, _, cross = _family(ds, response, x1, controls)
-    weights = residual.control_coefficients
+    full, _, weights, _, cross = _family(ds, response, x1, controls)
     b1, roots = full.slopes[0], (weights,)
     if len(controls) == 1:
         try:
-            roots = tuple((root,) for root in _roots(full, residual, cross))
+            roots = tuple((root,) for root in _roots(full, weights, cross))
         except ZeroLeadSlope:
             pass  # c12 remains
     bound = ROOT_MATCH_TOLERANCE * max(1.0, abs(b1))

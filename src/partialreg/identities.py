@@ -133,12 +133,12 @@ def _claim_name(control_count: int) -> str:
     return "residualized_slope_many_controls"
 
 
-def _residualized_report(full, residual, means, cross,
+def _residualized_report(full, name, weights, means, cross,
                          tolerance: float) -> VerificationReport:
     """The residualized-slope claim from :func:`_family`'s output, its
     simple slope taken from the moments of ``[response, x1*, ...]``."""
-    simple = _simple_from_moments(means, cross, 0, 1, residual.name)[1]
-    return _report(_claim_name(len(residual.controls)),
+    simple = _simple_from_moments(means, cross, 0, 1, name)[1]
+    return _report(_claim_name(len(weights)),
                    full.slopes[0], simple, tolerance)
 
 
@@ -360,9 +360,9 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
         (0, 1), *itertools.combinations(range(1, len(names) + 1), 2)]
     with _tag_claim(_claim_name(len(controls))):
         family = _family(ds, response, x1, controls, r_raw, pairs)
-        full, residual, _, cross = family
+        full, name, weights, _, cross = family
         reports = [_residualized_report(*family, tolerance)]
-    union = [residual.name, *controls, response]
+    union = [name, *controls, response]
     star_cross = [row[1:] for row in cross[1:]]  # of [x1*, *controls]
 
     with _tag_claim("residual_uncorrelated_with_controls"):
@@ -379,10 +379,10 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
 
     with _tag_claim("mapped_coefficients_match_refit"):
         mapped = map_coefficients(full.coefficients(), build_transform(
-            len(names), 1, residual.control_coefficients))
-        # T is built from residualize_with's weights, not from this
-        # transform, so a fault in build_transform stays visible.
-        r_star = _residualized_r(r_raw, residual.control_coefficients)
+            len(names), 1, weights))
+        # T is built from x1*'s weights, not from this transform, so a
+        # fault in build_transform stays visible.
+        r_star = _residualized_r(r_raw, weights)
         refit = _solve(r_star, union, len(names), range(len(names)))
         reports.append(_report("mapped_coefficients_match_refit",
                                mapped, refit.coefficients(), tolerance))
@@ -391,8 +391,7 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
         with _tag_claim("two_predictor_slope_relations"):
             # x1's moments follow from x1*'s; c cancels, since x1* was
             # built with it, so this side reads x1*'s data, not R.
-            cov1y, var1, cov12 = _x1_moments(
-                cross, *residual.control_coefficients)
+            cov1y, var1, cov12 = _x1_moments(cross, *weights)
             cov2y, var2 = cross[0][2], cross[2][2]
             r = float(_correlations([[var1, cov12], [cov12, var2]],
                                     names)[0, 1])
@@ -406,8 +405,7 @@ def _suite(ds: Dataset, response: str, x1: str, controls: Sequence[str],
                 tolerance))
 
     with _tag_claim("aggregation_recovers_subset_slopes"):
-        matrix = np.vstack([residual.control_coefficients,
-                            np.eye(len(controls))])
+        matrix = np.vstack([weights, np.eye(len(controls))])
         aggregated = aggregate_coefficients(full.slopes, matrix)
         subset = _solve(r_raw, [*names, response], len(names),
                         range(1, len(names)))

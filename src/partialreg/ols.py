@@ -196,7 +196,8 @@ def fit_simple(ds: Dataset, response: str, predictor: str) -> RegressionFit:
     ZeroVariance
         If the predictor is constant.
     """
-    means, cross = _central_moments(ds, [predictor, response])
+    means, cross = _central_moments(
+        [ds.column(predictor), ds.column(response)], [predictor, response])
     intercept, slope, condition = _simple_from_moments(
         means, cross, 1, 0, predictor)
     resid = slope * ds.column(predictor)  # y - (intercept + slope * x)

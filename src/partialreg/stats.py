@@ -13,15 +13,16 @@ makes ``covariance(ds, a, a)`` return the variance of ``a`` bit for bit.  The
 dot product makes no n-row temporary; BLAS may split it across threads, so
 the last bits depend on the BLAS thread count (never within one process).
 Every moment here, ``fit_simple`` and the gamma closed forms read one routine
-that centers each column once per call.  The moments of a column subset are
-the superset's bits, so a caller needing several statistics takes one call
-over the union and hands the moments to the private from-moments forms
-(``_correlations``, ``_multiple_correlation``).  That routine computes every
-variance, and every covariance unless its caller names the pairs it reads:
-the suite with two or more controls skips ``cov(y, x_j)``, and
-``verify_residualized_slope`` computes ``cov(x1*, y)`` alone.  It raises
-:class:`~partialreg.errors.SingularDesign` when a mean or a computed moment
-overflows the double range.
+that centers each column once per call.  It takes arrays, not a dataset, so
+x1* reaches it as the array its build returned.  The moments of a column
+subset are the superset's bits, so a caller needing several statistics
+takes one call over the union and hands the moments to the private
+from-moments forms (``_correlations``, ``_multiple_correlation``).  That
+routine computes every variance, and every covariance unless its caller
+names the pairs it reads: the suite with two or more controls skips
+``cov(y, x_j)``, and ``verify_residualized_slope`` computes ``cov(x1*, y)``
+alone.  It raises :class:`~partialreg.errors.SingularDesign` when a mean or
+a computed moment overflows the double range.
 """
 
 from __future__ import annotations
@@ -70,11 +71,12 @@ class SummaryStats:
     sd: float
 
 
-def _central_moments(ds: Dataset, names: Sequence[str],
+def _central_moments(columns: Sequence[np.ndarray], names: Sequence[str],
                      pairs: Iterable[tuple[int, int]] | None = None
                      ) -> tuple[list[float], list[list[float | None]]]:
     """Means and centered cross moments ``cross[i][j] = dev_i . dev_j / n``
-    of the named columns, read in name order and each centered once.
+    of the equally long ``columns``, each centered once; ``names`` label
+    them in the overflow message.
 
     Every variance (the diagonal) is computed; of the covariances, only
     the pairs ``(i, j)``, ``i < j``, in ``pairs`` are (all of them when
@@ -84,7 +86,7 @@ def _central_moments(ds: Dataset, names: Sequence[str],
     double range; finite variances bound every covariance (Cauchy-Schwarz),
     so the gate holds for the pairs skipped too.
     """
-    n, columns, m = ds.n, [ds.column(name) for name in names], len(names)
+    m = len(columns)
     if pairs is None:
         pairs = itertools.combinations(range(m), 2)
     cross: list[list[float | None]] = [[None] * m for _ in range(m)]
@@ -92,7 +94,8 @@ def _central_moments(ds: Dataset, names: Sequence[str],
         means = [float(x.mean()) for x in columns]
         devs = [x - mean for x, mean in zip(columns, means)]
         for i, j in [*zip(range(m), range(m)), *pairs]:
-            cross[i][j] = cross[j][i] = float(np.dot(devs[i], devs[j]) / n)
+            cross[i][j] = cross[j][i] = float(np.dot(devs[i], devs[j])
+                                              / devs[i].size)
     if not all(math.isfinite(v) for v in itertools.chain(means, *cross)
                if v is not None):
         raise SingularDesign(
@@ -108,7 +111,7 @@ def column_stats(ds: Dataset, name: str) -> SummaryStats:
     exactly (not merely tiny) for a constant column, which downstream code
     relies on when deciding whether to raise :class:`ZeroVariance`.
     """
-    (mean,), ((variance,),) = _central_moments(ds, [name])
+    (mean,), ((variance,),) = _central_moments([ds.column(name)], [name])
     return SummaryStats(mean, variance, math.sqrt(variance))
 
 
@@ -118,7 +121,7 @@ def covariance(ds: Dataset, a: str, b: str) -> float:
     Symmetric by construction: the elementwise products commute, so
     ``covariance(ds, a, b) == covariance(ds, b, a)`` exactly.
     """
-    return _central_moments(ds, [a, b])[1][0][1]
+    return _central_moments([ds.column(a), ds.column(b)], [a, b])[1][0][1]
 
 
 def _clamp(value: float, lo: float, hi: float, what: str) -> float:
@@ -159,7 +162,8 @@ def correlation_matrix(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     Raises like :func:`pearson_r`, checking the columns in order.
     """
     names = list(names)
-    return _correlations(_central_moments(ds, names)[1], names)
+    return _correlations(
+        _central_moments([ds.column(c) for c in names], names)[1], names)
 
 
 def _correlations(cross: list[list[float]], names: Sequence[str]
@@ -201,7 +205,8 @@ def multiple_correlation(ds: Dataset, target: str,
     names = [target, *predictors]
     if len(names) < 2:
         raise ValueError("need at least one predictor")
-    return _multiple_correlation(_central_moments(ds, names)[1], names)
+    return _multiple_correlation(
+        _central_moments([ds.column(c) for c in names], names)[1], names)
 
 
 def _multiple_correlation(cross: list[list[float]], names: Sequence[str]

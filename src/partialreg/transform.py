@@ -19,15 +19,16 @@ to ``gamma.combined_slope``, so equal weights give equal bits on every route.
 from one R, and the moments of ``[y, x1*, *controls]`` from one call that
 computes every variance and only the covariances its caller reads;
 ``_x1_moments`` reads x1's moments off those by the transform law.  x1* is
-built in ``k + 2`` passes over the rows for ``k`` controls and is not
-scanned for non-finite values: the overflow flags of its build stand in.
+built in ``k + 2`` passes over the rows for ``k`` controls and reaches the
+moment routine as that array, never wrapped in a record nor scanned for
+non-finite values: the overflow flags of its build stand in.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +104,7 @@ class PredictorTransform:
     gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        g = _frozen(self.gamma)
+        g = _frozen(self.gamma, "transform")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ShapeMismatch(f"transform must be square, got {g.shape}")
         if g.shape[0] == 0:
@@ -164,9 +165,7 @@ class ResidualizedVariable:
     slope pieces are subtracted; the intercept of the auxiliary regression
     is deliberately left in, so the residualized variable keeps a nonzero
     mean in general; it merges in as column ``name``.  ``values`` is
-    checked and frozen like a :class:`Dataset` column; those
-    :func:`residualize_with` builds skip the scan for non-finite values,
-    which the overflow flags of their build replace.
+    checked and frozen like a :class:`Dataset` column.
     """
 
     name: str
@@ -176,30 +175,17 @@ class ResidualizedVariable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self._check(scanned=False)
-
-    @classmethod
-    def _combined(cls, *args) -> "ResidualizedVariable":
-        """The variable of the constructor's ``args`` whose values
-        :func:`_combination` built: its overflow flags vouch that they are
-        finite, so they are not scanned again; every other check runs."""
-        variable = object.__new__(cls)
-        variable.__dict__.update(zip((f.name for f in fields(cls)), args))
-        variable._check(scanned=True)
-        return variable
-
-    def _check(self, scanned: bool) -> None:
         if len(self.controls) != len(self.control_coefficients):
             raise LengthMismatch(
                 f"{len(self.controls)} controls but "
                 f"{len(self.control_coefficients)} coefficients")
         object.__setattr__(self, "values",
-                           _freeze(self.values, self.name, None, scanned))
+                           _freeze(self.values, self.name, None))
 
     def merged_into(self, ds: Dataset) -> Dataset:
-        """Return ``ds`` with this variable appended as a column: the frozen
-        ``values`` array itself, not a copy, and not scanned again."""
-        return ds._appended(self.name, self.values, scanned=True)
+        """``ds.with_column(name, values)``: the frozen ``values`` array
+        itself, not a copy, checked again as any new column is."""
+        return ds.with_column(self.name, self.values)
 
 
 def residualize(ds: Dataset, target: str, controls: Sequence[str],
@@ -246,7 +232,18 @@ def residualize_with(ds: Dataset, target: str, controls: Sequence[str],
     SingularDesign
         If the combined column overflows the double range.
     """
-    controls = tuple(controls)
+    name, coefficients, values = _residual(ds, target, controls,
+                                           coefficients, name)
+    # The variable checks that the two lengths agree.
+    return ResidualizedVariable(name, target, tuple(controls), coefficients,
+                                values)
+
+
+def _residual(ds: Dataset, target: str, controls: Sequence[str],
+              coefficients: Sequence[float], name: str | None = None
+              ) -> tuple[str, tuple[float, ...], np.ndarray]:
+    """:func:`residualize_with`'s name, coefficients and values, the last
+    the array :func:`_combination` built, wrapped in nothing."""
     ds.require(target, *controls)
     coefficients = tuple(float(c) for c in coefficients)
     if not all(map(math.isfinite, coefficients)):
@@ -257,17 +254,16 @@ def residualize_with(ds: Dataset, target: str, controls: Sequence[str],
         name = target + "*"
         while name in ds:
             name += "*"
-    # _combined checks that the two lengths agree.
-    return ResidualizedVariable._combined(name, target, controls,
-                                          coefficients, values)
+    return name, coefficients, values
 
 
 def _family(ds: Dataset, response: str, x1: str, controls: list[str],
             r: np.ndarray | None = None,
             pairs: Iterable[tuple[int, int]] | None = None):
-    """The fit of ``response`` on ``[x1, *controls]``, x1* from x1's slopes
-    on the controls solved on the same R (``r``, factored unless given), and
-    the means and centered cross moments of ``[response, x1*, *controls]``:
+    """The fit of ``response`` on ``[x1, *controls]``, x1*'s name and
+    weights (x1's slopes on the controls, solved on the same R: ``r``,
+    factored unless given), and the means and centered cross moments of
+    ``[response, x1*, *controls]``, read from x1*'s array itself:
     every variance, and the covariances ``pairs`` names (all when None),
     the rest None.  The gamma evaluators and the one-control suite read
     every covariance; the suite with more controls reads none of
@@ -278,11 +274,11 @@ def _family(ds: Dataset, response: str, x1: str, controls: list[str],
         r = _factor(ds, union)
     full = _solve(r, union, len(controls) + 1, range(len(controls) + 1))
     aux = _solve(r, union, 0, range(1, len(controls) + 1))
-    residual = residualize_with(ds, x1, controls, aux.slopes)
-    means, cross = _central_moments(residual.merged_into(ds),
-                                    [response, residual.name, *controls],
-                                    pairs)
-    return full, residual, means, cross
+    name, weights, x1_star = _residual(ds, x1, controls, aux.slopes)
+    means, cross = _central_moments(
+        [ds.column(response), x1_star, *map(ds.column, controls)],
+        [response, name, *controls], pairs)
+    return full, name, weights, means, cross
 
 
 def _x1_moments(cross: list[list[float]],

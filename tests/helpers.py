@@ -23,6 +23,12 @@ def predictor_names(k: int) -> list[str]:
     return [f"X{i + 1}" for i in range(k)]
 
 
+def columns(ds: Dataset, names) -> list[np.ndarray]:
+    """The named columns of ``ds``, in order, as the moment routine reads
+    them."""
+    return [ds.column(name) for name in names]
+
+
 def design_matrix(ds: Dataset, predictors) -> np.ndarray:
     """n x (k+1) design whose first column is all ones."""
     columns = [np.ones(ds.n)]
@@ -173,9 +179,9 @@ def spy_moment_calls(monkeypatch) -> list[list[str]]:
     calls: list[list[str]] = []
     moments = partialreg.stats._central_moments
 
-    def recording(ds, names, pairs=None):
+    def recording(columns, names, pairs=None):
         calls.append(list(names))
-        return moments(ds, names, pairs)
+        return moments(columns, names, pairs)
 
     patch_library(monkeypatch, "_central_moments", recording)
     return calls
@@ -187,8 +193,8 @@ def spy_moment_products(monkeypatch) -> list[int]:
     products: list[int] = []
     moments = partialreg.stats._central_moments
 
-    def recording(ds, names, pairs=None):
-        means, cross = moments(ds, names, pairs)
+    def recording(columns, names, pairs=None):
+        means, cross = moments(columns, names, pairs)
         products.append(sum(value is not None for i, row in enumerate(cross)
                             for value in row[i:]))
         return means, cross

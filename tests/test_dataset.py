@@ -227,3 +227,25 @@ class TestOwnership:
     def test_bad_transform_keeps_its_error(self):
         with pytest.raises(ShapeMismatch, match=r"square, got \(\)"):
             PredictorTransform(5)
+
+
+class TestOnlyRealNumbers:
+    """Text is not read one character at a time, and complex values are
+    not cut to their real part: every column entry point refuses both,
+    naming the column."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", sorted(set(_ENTRY_POINTS)
+                                             - {"PredictorTransform"}))
+    @pytest.mark.parametrize("values", [
+        "123456", b"123456", bytearray(b"123456"),
+        ["1", "2", "3", "4", "5", "6"], np.array(list("123456")),
+        np.arange(6.0) + 1j, np.arange(6.0) + 0j, [1j, 2, 3, 4, 5, 6],
+        [1j, None, 3, 4, 5, 6], [1, None, "a", 4, 5, 6],
+    ], ids=["str", "bytes", "bytearray", "list_of_str", "str_array",
+            "complex_array", "complex_array_real_valued", "list_of_complex",
+            "object_list_with_complex", "object_list_with_text"])
+    def test_text_and_complex_values_are_refused(self, entry, values):
+        _, store = _ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=r"column '\w+' must hold"):
+            store(values)

@@ -29,7 +29,6 @@ from partialreg import (
     NonCanonicalSubsetRows,
     ParseError,
     PredictorTransform,
-    ResidualizedVariable,
     ShapeMismatch,
     SingularDesign,
     TooFewRows,
@@ -353,17 +352,16 @@ class TestRunVerificationSuite:
         # x1*'s R comes from the first pass's R by the transform law, so
         # the rows are factored once; x1* is still built once, as data,
         # and x1's moments follow from x1*'s, so one moment call serves.
-        merges = []
-        merged_into = ResidualizedVariable.merged_into
+        builds = []
+        combination = partialreg.transform._combination
 
-        def counting_merge(residual, ds):
-            merges.append(residual.name)
-            return merged_into(residual, ds)
+        def counting_build(ds, names, weights):
+            builds.append(list(names))
+            return combination(ds, names, weights)
 
         passes = spy_passes(monkeypatch)
         moments = spy_moment_calls(monkeypatch)
-        monkeypatch.setattr(ResidualizedVariable, "merged_into",
-                            counting_merge)
+        patch_library(monkeypatch, "_combination", counting_build)
         for calls in (1, 2):
             run_verification_suite(d1_extended, "Y", "X1", controls)
             assert [names for names, _ in passes] \
@@ -371,32 +369,31 @@ class TestRunVerificationSuite:
             assert all(ds.column("X1") is d1_extended.column("X1")
                        for _, ds in passes)
             assert len(moments) == calls
-            assert merges == ["X1*"] * calls
+            assert builds == [["X1", *controls]] * calls
 
     def test_moment_route_reads_the_residual_array_itself(
             self, monkeypatch, d1_extended):
-        # The claims on x1*'s data read the array residualize_with built,
-        # not the derived R, so a fault in that array stays visible.
-        residuals, moments = [], []
+        # The claims on x1*'s data read the array _combination built, not
+        # the derived R, so a fault in that array stays visible.
+        built, moments = [], []
 
-        def spy_residualize_with(*args):
-            residuals.append(residualize_with(*args))
-            return residuals[-1]
+        def spy_combination(*args):
+            built.append(combination(*args))
+            return built[-1]
 
-        def recording_moments(ds, names, pairs=None):
-            moments.append((list(names), ds))
-            return central_moments(ds, names, pairs)
+        def recording_moments(columns, names, pairs=None):
+            moments.append((list(names), list(columns)))
+            return central_moments(columns, names, pairs)
 
-        residualize_with = partialreg.transform.residualize_with
+        combination = partialreg.transform._combination
         central_moments = partialreg.stats._central_moments
-        monkeypatch.setattr(partialreg.transform, "residualize_with",
-                            spy_residualize_with)
+        patch_library(monkeypatch, "_combination", spy_combination)
         patch_library(monkeypatch, "_central_moments", recording_moments)
         run_verification_suite(d1_extended, "Y", "X1", ["X2", "X3"])
-        (residual,) = residuals
-        ((names, ds),) = moments
+        (x1_star,) = built
+        ((names, columns),) = moments
         assert names == ["Y", "X1*", "X2", "X3"]
-        assert ds.column(names[1]) is residual.values
+        assert columns[1] is x1_star
 
     def test_verify_residualized_slope_reads_the_rows_once(
             self, monkeypatch, d1_extended):
@@ -640,8 +637,9 @@ def suite_faults() -> dict:
             (identities, "_factor", y_column_scaled)],
         "c: _central_moments drops the last partial tile": [(
             transform, "_central_moments",
-            lambda ds, names, pairs=None: moments(
-                without_last_tile(ds, names), names, pairs))],
+            lambda columns, names, pairs=None: moments(
+                [x[:x.size - x.size % _TILE_ROWS] for x in columns], names,
+                pairs))],
         "d: _combination adds 0.3 to x1*'s first 100 rows": [
             (transform, "_combination", x1_star_shifted)],
         "e: _solve scales its slopes by 1 + 1e-6": [

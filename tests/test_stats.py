@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from helpers import random_dataset
+from helpers import columns, random_dataset
 from partialreg import (
     Dataset,
     DegenerateCofactor,
@@ -143,7 +143,7 @@ class TestMomentsAtThreadedSize:
         return random_dataset(np.random.default_rng(211), n=THREADED_N, k=3)
 
     def test_diagonal_is_the_variance(self, big):
-        cross = _central_moments(big, big.names)[1]
+        cross = _central_moments(columns(big, big.names), big.names)[1]
         for i, name in enumerate(big.names):
             variance = column_stats(big, name).variance
             assert cross[i][i] == variance
@@ -159,9 +159,10 @@ class TestMomentsAtThreadedSize:
 
     def test_subset_matches_superset(self, big):
         names = list(big.names)
-        means, cross = _central_moments(big, names)
+        means, cross = _central_moments(columns(big, names), names)
         for subset in (["Y", "X1", "X2"], ["X3", "X1"], ["X2"]):
-            sub_means, sub_cross = _central_moments(big, subset)
+            sub_means, sub_cross = _central_moments(columns(big, subset),
+                                                    subset)
             index = [names.index(name) for name in subset]
             assert sub_means == [means[i] for i in index]
             assert sub_cross == [[cross[i][j] for j in index] for i in index]
@@ -173,7 +174,7 @@ class TestMomentsAtThreadedSize:
         ds = random_dataset(np.random.default_rng(5), n=n, k=3)
         tracemalloc.start()
         try:
-            _central_moments(ds, names)
+            _central_moments(columns(ds, names), names)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import oracle
-from helpers import predictor_names, random_dataset, rescaled_x1_dataset
+from helpers import (
+    patch_library,
+    predictor_names,
+    random_dataset,
+    rescaled_x1_dataset,
+)
 import partialreg.dataset
 import partialreg.transform
 from partialreg import (
@@ -26,12 +31,15 @@ from partialreg import (
     combined_slope,
     fit,
     fit_simple,
+    gamma_roots,
     gamma_surface,
+    gamma_sweep,
     map_coefficients,
     pearson_r,
     residualize,
     residualize_with,
     run_verification_suite,
+    slope_on_gamma,
     verify_residualized_slope,
 )
 
@@ -181,16 +189,16 @@ class TestResidualize:
             merged.column(res.name)[0] = 1.0
 
     def test_residualize_keeps_the_array_it_built(self, d1, monkeypatch):
-        passed = []
-        check = ResidualizedVariable._check
+        built = []
+        combination = partialreg.transform._combination
 
-        def spy(self, scanned):
-            passed.append(self.values)
-            check(self, scanned)
+        def spy(*args):
+            built.append(combination(*args))
+            return built[-1]
 
-        monkeypatch.setattr(ResidualizedVariable, "_check", spy)
+        monkeypatch.setattr(partialreg.transform, "_combination", spy)
         res = residualize(d1, "X1", ["X2"])
-        assert np.shares_memory(passed[0], res.values)
+        assert res.values is built[0]
 
     def test_merged_into_is_immune_to_the_callers_array(self, d1):
         source = np.arange(6.0)
@@ -411,32 +419,29 @@ class TestOneCombinedColumn:
 
 
 class TestOneFinitenessScan:
-    """x1* is never scanned for non-finite values: the overflow flags of
-    its build stand in, and it is attached to the dataset without a scan.
-    A variable or column built from the caller's values is scanned once."""
+    """The library's own routes never scan x1* for non-finite values: the
+    overflow flags of its build stand in, and it reaches the moment
+    routine as that array.  Every public record scans what it is handed
+    once."""
 
     @pytest.fixture()
     def scans(self, monkeypatch):
         names = []
         freeze = partialreg.dataset._freeze
 
-        def spy(values, name, n, scanned=False):
-            if not scanned:
-                names.append(name)
-            return freeze(values, name, n, scanned)
+        def spy(values, name, n):
+            names.append(name)
+            return freeze(values, name, n)
 
-        monkeypatch.setattr(partialreg.dataset, "_freeze", spy)
-        monkeypatch.setattr(partialreg.transform, "_freeze", spy)
+        patch_library(monkeypatch, "_freeze", spy)
         return names
 
     @pytest.mark.parametrize("call", [
         lambda ds: run_verification_suite(ds, "Y", "X1", ["X2", "X3"]),
         lambda ds: verify_residualized_slope(ds, "Y", "X1", ["X2", "X3"]),
-        lambda ds: residualize(ds, "X1", ["X2", "X3"]).merged_into(ds),
         lambda ds: gamma_surface(ds, "Y", "X1", ["X2", "X3"], [0.0, 1.0],
                                  [0.0, 1.0]),
-    ], ids=["suite", "verify_residualized_slope", "residualize",
-            "gamma_surface"])
+    ], ids=["suite", "verify_residualized_slope", "gamma_surface"])
     def test_x1_star_is_never_scanned(self, scans, d1_extended, call):
         call(d1_extended)
         assert "X1*" not in scans
@@ -448,7 +453,47 @@ class TestOneFinitenessScan:
         d1.with_column("W", residual.values)
         d1.replace_columns({"X2": residual.values})
         Dataset({"V": residual.values, "U": residual.values})
-        assert scans[before:] == ["Z", "W", "X2", "V", "U"]
+        residualize(d1, "X1", ["X2"]).merged_into(d1)
+        assert scans[before:] == ["Z", "W", "X2", "V", "U", "X1*", "X1*"]
+
+
+class TestNoWrapping:
+    """The library's own routes hand x1* to the moment routine as the array
+    its build returned: no dataset is built or derived and no
+    ResidualizedVariable is made around it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda ds: run_verification_suite(ds, "Y", "X1", ["X2"]),
+        lambda ds: run_verification_suite(ds, "Y", "X1", ["X2", "X3"]),
+        lambda ds: verify_residualized_slope(ds, "Y", "X1", ["X2"]),
+        lambda ds: verify_residualized_slope(ds, "Y", "X1", ["X2", "X3"]),
+        lambda ds: combined_slope(ds, "Y", "X1", ["X2"], [0.5]),
+        lambda ds: combined_slope(ds, "Y", "X1", ["X2", "X3"], [0.5, -0.25]),
+        lambda ds: gamma_sweep(ds, "Y", "X1", "X2", [-1.0, 0.0, 1.0]),
+        lambda ds: slope_on_gamma(ds, "Y", "X1", "X2", 0.5),
+        lambda ds: gamma_roots(ds, "Y", "X1", "X2"),
+        lambda ds: gamma_surface(ds, "Y", "X1", ["X2", "X3"], [0.0, 1.0],
+                                 [0.0, 1.0]),
+    ], ids=["suite_one_control", "suite_two_controls",
+            "verify_residualized_slope_one_control",
+            "verify_residualized_slope_two_controls",
+            "combined_slope_one_control", "combined_slope_two_controls",
+            "gamma_sweep", "slope_on_gamma", "gamma_roots", "gamma_surface"])
+    def test_routes_wrap_nothing(self, monkeypatch, d1_extended, call):
+        wraps = []
+
+        def counting(method):
+            def wrapper(self, *args):
+                wraps.append(type(self).__name__)
+                return method(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(Dataset, "__init__", counting(Dataset.__init__))
+        monkeypatch.setattr(Dataset, "_derive", counting(Dataset._derive))
+        monkeypatch.setattr(ResidualizedVariable, "__post_init__",
+                            counting(ResidualizedVariable.__post_init__))
+        call(d1_extended)
+        assert wraps == []
 
 
 class TestMapCoefficients:
