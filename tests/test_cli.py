@@ -2,7 +2,6 @@
 
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,33 +405,6 @@ class TestGridCsvBytes:
             "roots": [printed(root) for root in sweep.roots],
             "undefined_points": [printed(p) for p in sweep.undefined_points],
         }
-
-
-class TestGridMemory:
-    """Peak traced memory of a CSV grid command, per grid point.  numpy
-    reports its buffers to ``tracemalloc``, so the figure does not depend
-    on the host.  The table printed in numpy blocks takes about 240 bytes
-    a point, most of them ``GammaSweep``'s tuples; a Python list per row
-    takes about 360."""
-
-    BYTES_PER_POINT = 300
-
-    def test_csv_sweep(self, tmp_path):
-        path, out = tmp_path / "in.csv", tmp_path / "sweep.csv"
-        save_csv(random_dataset(np.random.default_rng(11), n=1000, k=2), path)
-        args = partialreg.cli.build_parser().parse_args([
-            *SWEEP, "--input", str(path), "--output", str(out),
-            "--gamma-min=-2.5", "--gamma-max=2.5", "--gamma-step=1e-4"])
-        tracemalloc.start()
-        try:
-            code = partialreg.cli.run(args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == EXIT_OK
-        points = 50_001
-        assert out.read_text().count("\n") == points + 1
-        assert peak < self.BYTES_PER_POINT * points
 
 
 class TestVerifyCommand:
