@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Sequence
 from dataclasses import asdict
@@ -105,6 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, default_format: str) -> None:
+        # argparse takes a spaced "-1e-5" or "-1:1:0.5" for an option name
+        # unless its private negative-number pattern matches it; no option
+        # here starts "-<digit>", so every such word is a value.
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--input", required=True, dest="input_path",
                        help="input CSV file")
         if default_format == "text":  # the one format, so no --format

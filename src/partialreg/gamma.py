@@ -255,32 +255,11 @@ class GammaSweep:
     """
 
     axis_names: tuple[str, ...]
-    grids: tuple[tuple[float, ...], ...]
     points: tuple[tuple[float, ...], ...]
     values: tuple[float, ...]
     reference_slope: float
     roots: tuple[tuple[float, ...], ...]
     undefined_points: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.axis_names) != len(self.grids):
-            raise LengthMismatch(
-                f"{len(self.axis_names)} axis names but "
-                f"{len(self.grids)} grids")
-        if len(self.points) != len(self.values):
-            raise LengthMismatch(
-                f"{len(self.points)} points but {len(self.values)} values")
-        total = math.prod(len(g) for g in self.grids)
-        if len(self.points) + len(self.undefined_points) != total:
-            raise LengthMismatch(
-                f"{len(self.points)} defined + "
-                f"{len(self.undefined_points)} undefined points do not "
-                f"cover the {total}-point grid")
-        width = len(self.axis_names)
-        for point in (*self.points, *self.undefined_points, *self.roots):
-            if len(point) != width:
-                raise LengthMismatch(
-                    f"point {point} does not have {width} coordinates")
 
 
 def _tabulate(ds: Dataset, response: str, x1: str, controls: list[str],
@@ -308,7 +287,6 @@ def _tabulate(ds: Dataset, response: str, x1: str, controls: list[str],
     defined = ~np.isnan(values)
     return GammaSweep(
         axis_names=("gamma", "gamma3")[:len(grids)],
-        grids=tuple(tuple(grid.tolist()) for grid in grids),
         points=tuple(zip(*(axis[defined].tolist() for axis in axes))),
         values=tuple(values[defined].tolist()),
         reference_slope=b1,

@@ -976,6 +976,49 @@ class TestOverflowingData:
         assert captured.err == f"error: {message}\n"
 
 
+VERIFY = ["verify", "--response", "Y", "--x1", "X1", "--controls", "X2"]
+REPORT = ["report", "--response", "Y", "--x1", "X1", "--controls", "X2"]
+
+
+class TestNegativeValues:
+    """A negative value parses whether spaced or joined by ``=``, and then
+    meets the same check: exponent forms and range triples included."""
+
+    @pytest.mark.parametrize("argv, option, value, expected", [
+        ([*SWEEP, "--gamma-max=1", "--gamma-step=0.5"],
+         "--gamma-min", "-1e-5", EXIT_OK),
+        ([*SWEEP, "--gamma-min=-2", "--gamma-step=0.5"],
+         "--gamma-max", "-1e-5", EXIT_OK),
+        ([*SWEEP, "--gamma-min=0", "--gamma-step=0.5"],
+         "--gamma-max", "-1e-5", EXIT_USAGE),
+        ([*SWEEP, "--gamma-min=0", "--gamma-max=1"],
+         "--gamma-step", "-1e-5", EXIT_USAGE),
+        ([*SURFACE, "--gamma3-range=0:1:0.5"],
+         "--gamma2-range", "-1:1:0.5", EXIT_OK),
+        ([*SURFACE, "--gamma3-range=0:1:0.5"],
+         "--gamma2-range", "-1:-2:0.5", EXIT_USAGE),
+        ([*SURFACE, "--gamma2-range=0:1:0.5"],
+         "--gamma3-range", "-.5:.5:.25", EXIT_OK),
+        ([*SURFACE, "--gamma2-range=0:1:0.5"],
+         "--gamma3-range", "-1:1", EXIT_USAGE),
+        (VERIFY, "--tolerance", "-1e-8", EXIT_USAGE),
+        (REPORT, "--tolerance", "-1e-8", EXIT_USAGE),
+    ])
+    def test_spaced_and_joined_spellings_agree(self, capsys, d1_extended_csv,
+                                               argv, option, value,
+                                               expected):
+        outcomes = []
+        for spelling in ([option, value], [f"{option}={value}"]):
+            try:
+                code = main([*argv, "--input", d1_extended_csv, *spelling])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == expected
+
+
 class TestArgumentsBeforeData:
     """Bad option values are judged before the input file is opened."""
 

@@ -1,5 +1,6 @@
 """The combined-predictor slope as a function of gamma."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,6 @@ import partialreg.gamma
 from partialreg import (
     Dataset,
     DegenerateDirection,
-    GammaSweep,
     GridTooLarge,
     LengthMismatch,
     NumericalOvershoot,
@@ -406,66 +406,37 @@ class TestGammaSweep:
             gamma_sweep(d1, "Y", "X1", "X2", [0.0, float("nan")])
 
 
-class TestGammaSweepValidation:
-    def test_partition_must_cover_grid(self):
-        with pytest.raises(LengthMismatch):
-            GammaSweep(
-                axis_names=("gamma",),
-                grids=((0.0, 1.0),),
-                points=((0.0,),),
-                values=(1.0,),
-                reference_slope=1.0,
-                roots=(),
-                undefined_points=(),
-            )
+class TestPartitionOfTheGrid:
+    """``points`` and ``undefined_points`` split the caller's own grid in
+    row-major order, with one value per defined point: what the one
+    builder guarantees, checked on the library's output."""
 
-    def test_points_and_values_parallel(self):
-        with pytest.raises(LengthMismatch):
-            GammaSweep(
-                axis_names=("gamma",),
-                grids=((0.0, 1.0),),
-                points=((0.0,), (1.0,)),
-                values=(1.0,),
-                reference_slope=1.0,
-                roots=(),
-                undefined_points=(),
-            )
+    @staticmethod
+    def assert_partition(result, axes):
+        grid = list(itertools.product(
+            *(np.asarray(axis, dtype=float).tolist() for axis in axes)))
+        skipped = set(result.undefined_points)
+        assert result.points == tuple(p for p in grid if p not in skipped)
+        assert result.undefined_points == tuple(p for p in grid
+                                                if p in skipped)
+        width = len(result.axis_names)
+        assert width == len(axes)
+        for point in (*result.points, *result.undefined_points,
+                      *result.roots):
+            assert len(point) == width
+        assert len(result.values) == len(result.points)
 
-    def test_point_width_must_match_axes(self):
-        with pytest.raises(LengthMismatch):
-            GammaSweep(
-                axis_names=("gamma",),
-                grids=((0.0,),),
-                points=((0.0, 1.0),),
-                values=(1.0,),
-                reference_slope=1.0,
-                roots=(),
-                undefined_points=(),
-            )
+    def test_sweep(self, d1):
+        gammas = grid_points(-2.0, 2.0, 0.25)
+        self.assert_partition(gamma_sweep(d1, "Y", "X1", "X2", gammas),
+                              [gammas])
 
-    def test_axis_names_match_grids(self):
-        with pytest.raises(LengthMismatch):
-            GammaSweep(
-                axis_names=("gamma", "gamma3"),
-                grids=((0.0,),),
-                points=((0.0,),),
-                values=(1.0,),
-                reference_slope=1.0,
-                roots=(),
-                undefined_points=(),
-            )
-
-    def test_partition_with_undefined_points_accepted(self):
-        sweep = GammaSweep(
-            axis_names=("gamma",),
-            grids=((0.0, 1.0),),
-            points=((0.0,),),
-            values=(2.5,),
-            reference_slope=1.0,
-            roots=(),
-            undefined_points=((1.0,),),
-        )
-        assert sweep.undefined_points == ((1.0,),)
+    def test_surface_with_undefined_points(self):
+        ds = near_collinear_controls_dataset(np.random.default_rng(1205), 30)
+        axis = [-1e7, 0.0, 1e7]
+        surface = gamma_surface(ds, "Y", "X1", ["X2", "X3"], axis, axis)
+        assert surface.undefined_points
+        self.assert_partition(surface, [axis, axis])
 
 
 class TestGammaSurface:

@@ -261,6 +261,17 @@ class TestPlainRoute:
         assert fast is not None
         assert _bits(fast) == _bits(_read_strict(data, "d1.csv"))
 
+    def test_non_utf8_header_over_a_plain_body_gets_the_strict_error(
+            self, tmp_path):
+        data = b"X\xff1,Y\n1,2\n3,4\n"
+        path = tmp_path / "header.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as got:
+            load_csv(path)
+        with pytest.raises(ParseError) as want:
+            _read_strict(data, path)
+        assert _error(got.value) == _error(want.value)
+
 
 class TestWriteCsv:
     def test_to_csv_text(self):

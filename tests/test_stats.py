@@ -12,6 +12,7 @@ from helpers import columns, random_dataset
 from partialreg import (
     Dataset,
     DegenerateCofactor,
+    NumericalOvershoot,
     ZeroVariance,
     column_stats,
     correlation_matrix,
@@ -23,7 +24,7 @@ from partialreg import (
     predict,
     residualize,
 )
-from partialreg.stats import _central_moments
+from partialreg.stats import _central_moments, _clamp
 
 # Exact moments of the six-row worked dataset, computed by hand.
 D1_MEAN_X = Fraction(7, 2)
@@ -207,6 +208,18 @@ class TestPearson:
         cols = {n: [Fraction(v) for v in d1.column(n)] for n in d1.names}
         want = float(oracle.pearson_squared(cols["X1"], cols["Y"]))
         assert pearson_r(d1, "X1", "Y") ** 2 == pytest.approx(want, rel=1e-13)
+
+
+class TestClamp:
+    """A value past [-1, 1] by at most CLAMP_TOLERANCE is rounding and is
+    clamped; one further past is a numerical failure."""
+
+    @pytest.mark.parametrize("bound, side", [(-1.0, "below"),
+                                             (1.0, "above")])
+    def test_clamps_rounding_and_raises_beyond_it(self, bound, side):
+        assert _clamp(bound * (1 + 5e-10), -1.0, 1.0, "r") == bound
+        with pytest.raises(NumericalOvershoot, match=side):
+            _clamp(bound * (1 + 2e-9), -1.0, 1.0, "r")
 
 
 class TestCorrelationMatrix:

@@ -306,6 +306,8 @@ class TestBuildTransform:
             build_transform(3, 0, [0.1, 0.2])
         with pytest.raises(IndexOutOfRange):
             build_transform(3, 4, [0.1, 0.2])
+        with pytest.raises(IndexOutOfRange):
+            build_transform(0, 1, [])
 
     def test_coefficient_count_checked(self):
         with pytest.raises(LengthMismatch):
