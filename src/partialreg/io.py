@@ -6,13 +6,13 @@ every row exactly as wide as the header.  Anything else is rejected with
 a parse error carrying 1-based file coordinates (the header is row 1).
 
 The file is read once, as bytes.  A plain numeric body (only digits,
-signs, ``.``, ``e``, ``E``, commas, spaces and ``\\n``, no empty line and
-no line over :func:`csv.field_size_limit`) is parsed by one numpy call,
-whose result is kept only when it has one row per line, one column per
-header name and no non-finite value.  Every other file, and every plain
-body numpy rejects, goes through the row-by-row reader, which is the only
-judge of what is malformed: results and errors are the same on both
-routes.
+signs, ``.``, ``e``, ``E``, commas, spaces and ``\\n``, no line over
+:func:`csv.field_size_limit`) is parsed from those bytes by one numpy
+call, whose result is kept only when it has one row per line (numpy skips
+a blank line, so a body with one falls short), one column per header name
+and no non-finite value.  Every other file, and every plain body numpy
+rejects, goes through the row-by-row reader, which is the only judge of
+what is malformed: results and errors are the same on both routes.
 
 Numbers are emitted with 12 significant digits, byte for byte what
 ``%.12g`` prints.  That printing is a fixpoint: loading an emitted file
@@ -170,31 +170,31 @@ def _header_names(cells: list[str]) -> list[str]:
 
 
 def _read_plain(data: bytes) -> Dataset | None:
-    """The dataset of a plain numeric body, or None when only the strict
-    reader can tell.
+    """The dataset of a plain body, or None for the strict reader to judge.
 
-    numpy's parser accepts text ``float`` rejects (``5\\x1c``) and parses
-    a field over the csv size limit, so the byte and length guards here
-    are what keeps an accepted result equal to the strict reader's.
+    numpy accepts text ``float`` rejects (``5\\x1c``), fields over the csv
+    size limit and blank lines (it skips them): the guards and the row
+    count keep an accepted result equal to the strict reader's.
     """
-    header, _, body = data.removeprefix(codecs.BOM_UTF8).partition(b"\n")
-    limit = csv.field_size_limit()
-    if (not body or b'"' in header or b"\r" in header or len(header) > limit
-            or body.translate(None, _PLAIN_BYTES)):
+    data = data.removeprefix(codecs.BOM_UTF8)
+    header, limit = data[:data.find(b"\n")], csv.field_size_limit()
+    # Per line after the header, 1 + its length (1 for an absent tail).  If
+    # none is over 1 there is no row, on which numpy would warn.
+    steps = np.diff(np.flatnonzero(np.frombuffer(data, np.uint8)
+                                   == ord("\n")), append=len(data))
+    if (b'"' in header or b"\r" in header or len(header) > limit
+            or not 1 < steps.max(initial=0) <= limit + 1
+            or data.translate(None, _PLAIN_BYTES)
+            != header.translate(None, _PLAIN_BYTES)):
         return None
-    lines = body.decode("ascii").removesuffix("\n").split("\n")
-    if "" in lines or max(map(len, lines)) > limit:
-        return None
-    try:
-        cells = next(csv.reader([header.decode("utf-8")]))
-    except UnicodeDecodeError:
-        return None
-    names = _header_names(cells)
-    try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    try:  # a header that is not UTF-8 or a line numpy cannot split
+        names = _header_names(next(csv.reader([header.decode("utf-8")])))
+        table = np.loadtxt(TextIOWrapper(BytesIO(data), encoding="utf-8"),
+                           delimiter=",", comments=None, skiprows=1, ndmin=2)
     except ValueError:
         return None
-    if table.shape != (len(lines), len(names)) or not np.isfinite(table).all():
+    rows = len(steps) - (steps[-1] == 1)
+    if table.shape != (rows, len(names)) or not np.isfinite(table).all():
         return None
     return Dataset({name: table[:, j] for j, name in enumerate(names)})
 

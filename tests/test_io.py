@@ -1,5 +1,6 @@
 """CSV loading, saving, and 12-digit number formatting."""
 
+import codecs
 import csv
 import os
 import re
@@ -27,7 +28,12 @@ from partialreg import (
     to_csv,
 )
 from partialreg.errors import PartialRegError
-from partialreg.io import _WRITE_BLOCK_ROWS, _read_plain, _read_strict
+from partialreg.io import (
+    _PLAIN_BYTES,
+    _WRITE_BLOCK_ROWS,
+    _read_plain,
+    _read_strict,
+)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -231,6 +237,37 @@ def _bits(ds):
                       for name in ds.names]
 
 
+def _result(call):
+    """``call()``'s value, or its error as type, message, row and column."""
+    try:
+        return call()
+    except (PartialRegError, ValueError) as exc:
+        return _error(exc)
+
+
+LIMIT = csv.field_size_limit()
+
+
+def _plain(data):
+    """Whether ``data`` passes the plain route's guard as documented: a
+    header with no ``"`` or ``\\r`` and no longer than the csv field size
+    limit, over a body of only ``_PLAIN_BYTES`` with no blank line and no
+    line over that limit."""
+    header, _, body = data.removeprefix(codecs.BOM_UTF8).partition(b"\n")
+    return (b'"' not in header and b"\r" not in header
+            and len(header) <= LIMIT and not body.translate(None, _PLAIN_BYTES)
+            and all(0 < len(line) <= LIMIT
+                    for line in body.removesuffix(b"\n").split(b"\n")))
+
+
+def _padded_row(length):
+    """``b"1,2\\n"`` widened to ``length`` bytes before its newline, one
+    field zero-padded and the other space-padded, each under the limit."""
+    left = (length - 1) // 2
+    return (b"1".rjust(left, b"0") + b"," + b"2".rjust(length - 1 - left)
+            + b"\n")
+
+
 class TestPlainRoute:
     @settings(max_examples=300, derandomize=True, database=None,
               deadline=None)
@@ -238,17 +275,34 @@ class TestPlainRoute:
     @example(data=b"a,b\n1,2\n" + b"0" * 131072 + b"1,3\n4,5\n")
     @example(data=b"a,b\n1,2\n3,5\x1c\n")
     @example(data=b"a,a\n1,2\n" + b"1" * 131073 + b",3\n4,5\n")
-    def test_numpy_route_agrees_with_the_strict_reader(self, data):
-        try:
-            strict = _read_strict(data, "fuzz.csv")
-        except (PartialRegError, ValueError) as exc:
-            strict = _error(exc)
-        try:
-            fast = _read_plain(data)
-        except (PartialRegError, ValueError) as exc:
-            fast = _error(exc)
+    # The guard's edges: a header or line of exactly the limit is taken,
+    # one byte more is not, with or without its newline; blank and
+    # whitespace-only lines are declined.
+    @example(data=b"a" * (LIMIT - 2) + b",b\n1,2\n3,4\n")
+    @example(data=b"a" * (LIMIT - 1) + b",b\n1,2\n3,4\n")
+    @example(data=b"a\n1\n" + b"1".rjust(LIMIT + 1, b"0") + b"\n")
+    @example(data=b"a,b\n" + _padded_row(LIMIT) + b"3,4\n")
+    @example(data=b"a,b\n3,4\n" + _padded_row(LIMIT)[:-1])
+    @example(data=b"a,b\n" + _padded_row(LIMIT + 1) + b"3,4\n")
+    @example(data=b"a,b\n3,4\n" + _padded_row(LIMIT + 1)[:-1])
+    @example(data=b"a,b\n\n1,2\n3,4\n")
+    @example(data=b"a,b\n1,2\n3,4\n\n")
+    @example(data=b"a,b\n\n\n")
+    @example(data=b"a,b\n1,2\n \n3,4\n")
+    @example(data=b"a\n1\n   \n3\n")
+    def test_numpy_route_agrees_with_the_strict_reader(self, data,
+                                                      tmp_path_factory):
+        """The plain route takes every file its guard admits that the strict
+        reader accepts, and gives the strict result on whatever it takes;
+        on a file it declines, ``load_csv`` gives the strict result or
+        error."""
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(data)
+        strict = _result(lambda: _read_strict(data, path))
+        fast = _result(lambda: _read_plain(data))
         if fast is None:
-            return
+            assert not (isinstance(strict, Dataset) and _plain(data)), data
+            fast = _result(lambda: load_csv(path))
         if isinstance(strict, Dataset):
             assert isinstance(fast, Dataset), (data, fast)
             assert _bits(fast) == _bits(strict), data
