@@ -178,8 +178,8 @@ def _read_plain(data: bytes) -> Dataset | None:
     """
     data = data.removeprefix(codecs.BOM_UTF8)
     header, limit = data[:data.find(b"\n")], csv.field_size_limit()
-    # Per line after the header, 1 + its length (1 for an absent tail).  If
-    # none is over 1 there is no row, on which numpy would warn.
+    # 1 + each line's length after the header's newline (1: absent tail).
+    # No step over 1 (or no newline at all): no row, and numpy would warn.
     steps = np.diff(np.flatnonzero(np.frombuffer(data, np.uint8)
                                    == ord("\n")), append=len(data))
     if (b'"' in header or b"\r" in header or len(header) > limit
